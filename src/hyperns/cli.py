@@ -7,16 +7,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, SimConfig, config_hash, parse_config
-from .diagnostics import (defect_split, energy_budget, linear_damping_curve,
-                          mode_decay_curve)
+from .diagnostics import (DefectSplitSink, DiagnosticsRecord, energy_budget,
+                          linear_damping_curve, mode_decay_curve)
 from .dynamics import NumericalError, run
-from .experiments import (StateRecorder, alpha_comparison, vanishing_eps_sweep)
+from .experiments import alpha_comparison, vanishing_eps_sweep
 from .lattice import WavenumberLattice
 from .snapshot import (SnapshotError, finalize_manifest, write_manifest,
                        write_snapshot)
@@ -26,6 +25,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+DIAG_COLUMNS = ["t", "energy", "enstrophy", "visc_dissipation_rate",
+                "hyper_dissipation_rate", "budget_residual"]
 
 
 def _fmt(x) -> str:
@@ -43,11 +45,7 @@ def write_csv(path, header: list, rows) -> None:
 
 
 def _load_config(path) -> SimConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise err
-    return parse_config(text)
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 def _run_dir(cfg: SimConfig, out: str) -> Path:
@@ -55,12 +53,29 @@ def _run_dir(cfg: SimConfig, out: str) -> Path:
 
 
 def _write_diagnostics(path, records) -> None:
-    write_csv(path,
-              ["t", "energy", "enstrophy", "visc_dissipation_rate",
-               "hyper_dissipation_rate", "budget_residual"],
-              [(r.t, r.energy, r.enstrophy, r.visc_dissipation_rate,
-                r.hyper_dissipation_rate, r.budget_residual)
-               for r in records])
+    write_csv(path, DIAG_COLUMNS,
+              [[getattr(r, c) for c in DIAG_COLUMNS] for r in records])
+
+
+def _read_diagnostics(path) -> list:
+    """DiagnosticsRecords of a diagnostics.csv; ValueError if malformed."""
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",") if lines else []
+    missing = [c for c in DIAG_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(f"missing column(s) {', '.join(missing)}")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"line {lineno}: {len(fields)} fields for "
+                             f"{len(header)} columns")
+        row = dict(zip(header, map(float, fields)))
+        records.append(DiagnosticsRecord(
+            **{c: row[c] for c in DIAG_COLUMNS}, shell_spectrum=np.empty(0)))
+    if not records:
+        raise ValueError("no data rows")
+    return records
 
 
 def cmd_run(args) -> int:
@@ -68,9 +83,12 @@ def cmd_run(args) -> int:
     run_dir = _run_dir(cfg, args.out)
     write_manifest(run_dir, cfg)
     diag_path = run_dir / "diagnostics.csv"
-    recorder = StateRecorder()
+    sym = cfg.build_symbol()
+    sinks = ()
+    if cfg.eps > 0 and cfg.symbol.startswith("power"):
+        sinks = (DefectSplitSink(sym, cfg.nu, cfg.eps, cfg.eta),)
     try:
-        final, records = run(cfg, sinks=(recorder,))
+        final, records = run(cfg, sinks=sinks, symbol=sym)
     except NumericalError as err:
         if err.records:
             _write_diagnostics(diag_path, err.records)
@@ -84,14 +102,11 @@ def cmd_run(args) -> int:
     snap_path = run_dir / "final.hypf"
     write_snapshot(final.u, snap_path, nu=cfg.nu, eps=cfg.eps,
                    symbol_spec=cfg.symbol)
-    if cfg.eps > 0 and cfg.symbol.startswith("power"):
-        sym = cfg.build_symbol(final.u.lattice)
-        split = defect_split(recorder.times, recorder.states, sym,
-                             cfg.nu, cfg.eps, cfg.eta, cfg.t_end)
+    if sinks:
+        d = sinks[0].result()
         write_csv(run_dir / "defect.csv",
                   ["eta", "crossover", "low", "high", "bound_rhs"],
-                  [(split.eta, split.crossover, split.low, split.high,
-                    split.bound_rhs)])
+                  [(d.eta, d.crossover, d.low, d.high, d.bound_rhs)])
     finalize_manifest(run_dir, [p.name for p in run_dir.iterdir()
                                 if p.name != "manifest.json"])
     print(f"run complete: {run_dir} "
@@ -177,8 +192,7 @@ def cmd_linear_spectra(args) -> int:
     cols = [k]
     header = ["k"]
     for alpha in alphas:
-        _, lam = linear_damping_curve(args.nu, args.mu, alpha, k)
-        cols.append(lam)
+        cols.append(linear_damping_curve(args.nu, args.mu, alpha, k))
         header.append(f"lambda_alpha_{alpha:g}")
     path = out / "damping_rates.csv"
     write_csv(path, header, zip(*cols))
@@ -188,8 +202,7 @@ def cmd_linear_spectra(args) -> int:
         cols = [t]
         header = ["t"]
         for alpha in alphas:
-            _, e = mode_decay_curve(args.nu, args.mu, alpha, args.k0, t)
-            cols.append(e)
+            cols.append(mode_decay_curve(args.nu, args.mu, alpha, args.k0, t))
             header.append(f"E_alpha_{alpha:g}")
         path = out / "mode_decay.csv"
         write_csv(path, header, zip(*cols))
@@ -199,20 +212,12 @@ def cmd_linear_spectra(args) -> int:
 
 def cmd_energy_audit(args) -> int:
     diag = Path(args.rundir) / "diagnostics.csv"
-    rows = diag.read_text().splitlines()
-    header = rows[0].split(",")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    col = {name: i for i, name in enumerate(header)}
-    t = data[:, col["t"]]
-    e = data[:, col["energy"]]
-    rate = (data[:, col["visc_dissipation_rate"]]
-            + data[:, col["hyper_dissipation_rate"]])
-    integral = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))))
-    res = np.abs(e - e[0] + integral) / e[0] if e[0] > 0 else np.zeros_like(e)
-    worst = float(np.max(res))
+    try:
+        worst = float(np.max(energy_budget(_read_diagnostics(diag))))
+    except ValueError as err:
+        raise OSError(f"{diag}: malformed: {err}") from None
     print(f"max budget residual: {worst:.17g} (tolerance {args.tol:g})")
-    if worst > args.tol:
+    if not worst <= args.tol:  # a NaN residual fails too
         raise NumericalError(f"budget residual {worst:.3e} exceeds {args.tol:g}")
     return EXIT_OK
 

@@ -58,12 +58,6 @@ def shell_spectrum(u: SpectralVelocity):
     return np.arange(n_shell, dtype=float), e
 
 
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
-    return out
-
-
 def energy_budget(records: list) -> np.ndarray:
     """Cumulative budget residual per sample, relative to E(0).
 
@@ -79,7 +73,9 @@ def energy_budget(records: list) -> np.ndarray:
     e0 = e[0]
     if e0 == 0:
         return np.zeros_like(e)
-    return np.abs(e - e0 + _cumtrapz(rate, t)) / e0
+    integral = np.zeros_like(rate)
+    integral[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))
+    return np.abs(e - e0 + integral) / e0
 
 
 def attach_budget_residuals(records: list) -> None:
@@ -109,51 +105,67 @@ class DefectSplit:
     bound_origin: str  # "exact-power" or "envelope-derived"
 
 
-def defect_split(times, states, sym: MultiplierSymbol, nu: float, eps: float,
-                 eta: float, T: float) -> DefectSplit:
-    """Split eps * int <Mu,u> dt at the frequency eta * R_eps.
+class DefectSplitSink:
+    """Run sink splitting eps * int <Mu,u> dt at the frequency eta * R_eps.
 
-    ``states`` are sampled SpectralVelocity snapshots at ``times``.  The
-    certified bound uses C = mu for power symbols; otherwise the envelope
-    constant c1_hat from the classifier, flagged "envelope-derived".
+    Keeps each sample's low, high and ||grad u||^2 sums, not its state;
+    :meth:`result` integrates them by the trapezoid rule.  The certified
+    bound uses C = mu for power symbols; otherwise the envelope constant
+    c1_hat from the classifier, flagged "envelope-derived".
     """
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must lie in (0,1), got {eta}")
-    if eps <= 0:
-        raise ValueError("defect split requires eps > 0")
-    lat = sym.lattice
-    if sym.kind == "power":
-        alpha, const, origin = sym.alpha, sym.mu, "exact-power"
-    else:
-        kd = lat.dealias_limit * lat.k_unit
-        cls = classify(sym, (lat.k_unit, kd))
-        if cls.tag != "hyperdissipative":
-            raise ValueError(
-                f"defect split needs a hyperdissipative symbol, got {cls.tag}")
-        alpha, const, origin = cls.alpha_hat, cls.c1_hat, "envelope-derived"
-    r_eps = crossover_frequency(nu, eps, alpha)
-    low_mask = lat.k_mag <= eta * r_eps
-    vol = lat.box_length ** lat.dim
 
-    times = np.asarray([float(t) for t in times])
-    keep = times <= T + 1e-12
-    ts = times[keep]
-    lo, hi, grad = [], [], []
-    for u, inside in zip(states, keep):
-        if not inside:
-            continue
+    def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
+                 eta: float):
+        if not 0 < eta < 1:
+            raise ValueError(f"eta must lie in (0,1), got {eta}")
+        if eps <= 0:
+            raise ValueError("defect split requires eps > 0")
+        lat = sym.lattice
+        if sym.kind == "power":
+            alpha, const, origin = sym.alpha, sym.mu, "exact-power"
+        else:
+            kd = lat.dealias_limit * lat.k_unit
+            cls = classify(sym, (lat.k_unit, kd))
+            if cls.tag != "hyperdissipative":
+                raise ValueError(f"defect split needs a hyperdissipative "
+                                 f"symbol, got {cls.tag}")
+            alpha, const, origin = cls.alpha_hat, cls.c1_hat, "envelope-derived"
+        self.sym, self.eps, self.eta = sym, eps, eta
+        self.const, self.origin = const, origin
+        self.bound_scale = const * eta ** (2.0 * alpha - 2.0) * nu
+        self.crossover = crossover_frequency(nu, eps, alpha)
+        self.low_mask = lat.k_mag <= eta * self.crossover
+        self.rows = []  # (t, low, high, ||grad u||^2) per sample
+
+    def __call__(self, state, record) -> None:
+        self.add(state.t, state.u)
+
+    def add(self, t: float, u: SpectralVelocity) -> None:
+        lat = self.sym.lattice
+        vol = lat.box_length ** lat.dim
         mag2 = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-        wm = sym.m * mag2
-        lo.append(vol * float(np.sum(wm[low_mask])))
-        hi.append(vol * float(np.sum(wm[~low_mask])))
-        grad.append(vol * float(np.sum(lat.k_sq * mag2)))
-    lo, hi, grad = map(np.asarray, (lo, hi, grad))
-    low = eps * float(np.trapezoid(lo, ts))
-    high = eps * float(np.trapezoid(hi, ts))
-    bound = const * eta ** (2.0 * alpha - 2.0) * nu * float(np.trapezoid(grad, ts))
-    return DefectSplit(eta=eta, crossover=r_eps, low=low, high=high,
-                       bound_rhs=bound, bound_constant=const,
-                       bound_origin=origin)
+        wm = self.sym.m * mag2
+        self.rows.append((float(t), vol * float(np.sum(wm[self.low_mask])),
+                          vol * float(np.sum(wm[~self.low_mask])),
+                          vol * float(np.sum(lat.k_sq * mag2))))
+
+    def result(self) -> DefectSplit:
+        ts, lo, hi, grad = np.array(self.rows).reshape(-1, 4).T
+        bound = self.bound_scale * float(np.trapezoid(grad, ts))
+        return DefectSplit(eta=self.eta, crossover=self.crossover,
+                           low=self.eps * float(np.trapezoid(lo, ts)),
+                           high=self.eps * float(np.trapezoid(hi, ts)),
+                           bound_rhs=bound, bound_constant=self.const,
+                           bound_origin=self.origin)
+
+
+def defect_split(times, states, sym: MultiplierSymbol, nu: float, eps: float,
+                 eta: float) -> DefectSplit:
+    """:class:`DefectSplitSink` over SpectralVelocity samples at ``times``."""
+    sink = DefectSplitSink(sym, nu, eps, eta)
+    for t, u in zip(times, states):
+        sink.add(t, u)
+    return sink.result()
 
 
 def linear_damping_curve(nu: float, mu: float, alpha: float, k_list):
@@ -169,7 +181,7 @@ def linear_damping_curve(nu: float, mu: float, alpha: float, k_list):
         raise ValueError("wavenumbers must be nonnegative")
     nu, mu, p = float(nu), float(mu), 2.0 * float(alpha)
     lam = [nu * x ** 2 + mu * x ** p for x in k.ravel().tolist()]
-    return k, np.array(lam, dtype=float).reshape(k.shape)
+    return np.array(lam, dtype=float).reshape(k.shape)
 
 
 def mode_decay_curve(nu: float, mu: float, alpha: float, k0: float, t_list):
@@ -180,4 +192,4 @@ def mode_decay_curve(nu: float, mu: float, alpha: float, k0: float, t_list):
     rate = nu * k0 ** 2 + mu * k0 ** (2.0 * alpha)
     # np.exp, not math.exp: the two differ by an ulp at some t, and the
     # criterion-9 oracle is element-wise np.exp.
-    return t, np.exp(-2.0 * rate * t)
+    return np.exp(-2.0 * rate * t)

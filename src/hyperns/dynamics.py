@@ -130,15 +130,6 @@ class Stepper:
                                cfl_estimate=cfl)
 
 
-def step(state: TrajectoryState, cfg: SimConfig,
-         sym: MultiplierSymbol | None = None) -> TrajectoryState:
-    """Single integrating-factor RK4 step under ``cfg``."""
-    lat = state.u.lattice
-    sym = sym or cfg.build_symbol(lat)
-    return Stepper(lat, sym, cfg.nu, cfg.eps, cfg.dt,
-                   nonlinear=cfg.nonlinear).step(state)
-
-
 def taylor_green(lattice: WavenumberLattice, t: float = 0.0) -> SpectralVelocity:
     """Classical Taylor-Green vortex on the box (2-D or 3-D)."""
     ku = lattice.k_unit
@@ -201,17 +192,22 @@ def initial_condition(cfg: SimConfig,
     return dealias(leray_project(u))
 
 
-def run(cfg: SimConfig, sinks=()):
-    """Integrate from t=0 to t_end; returns (final state, records).
+def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None):
+    """Integrate from t0 (0 or a snapshot's time tag) to t0 + t_end.
 
-    ``sinks`` are callables invoked as sink(state, record) at every
-    sample (every ``output_every`` steps, plus the initial and final
-    states).  Budget residuals are attached to the records after the
+    Returns (final state, records).  ``symbol``, if given, replaces the
+    configured one.  ``sinks`` are callables invoked as sink(state, record)
+    at every sample (every ``output_every`` steps, plus the initial and
+    final states).  Budget residuals are attached to the records after the
     loop.  On a numerical failure the partial series is attached to the
     raised :class:`NumericalError`.
     """
-    lattice = cfg.build_lattice()
-    sym = cfg.build_symbol(lattice)
+    sym = cfg.build_symbol() if symbol is None else symbol
+    # the symbol's lattice already holds the cached wavevector arrays
+    lattice = sym.lattice
+    if lattice != cfg.build_lattice():
+        raise ValueError(
+            f"symbol lattice {lattice} does not match config lattice")
     u0 = initial_condition(cfg, lattice)
     stepper = Stepper(lattice, sym, cfg.nu, cfg.eps, cfg.dt,
                       nonlinear=cfg.nonlinear)

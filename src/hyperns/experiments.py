@@ -3,13 +3,13 @@ exponent comparisons, and kernel-family classification."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import DefectSplit, defect_split, shell_spectrum
-from .dynamics import nonlinear_term, run
+from .diagnostics import DefectSplitSink, shell_spectrum
+from .dynamics import NumericalError, nonlinear_term, run
 from .lattice import SobolevIndex, SpectralVelocity, sobolev_norm
 from .symbols import MultiplierSymbol, apply_multiplier, classify, kernel_symbol
 
@@ -140,12 +140,6 @@ def spectral_tail_fraction(u: SpectralVelocity) -> float:
     return float(np.sum(e[radii > cut]) / total)
 
 
-def _run_recorded(cfg: SimConfig):
-    rec = StateRecorder()
-    final, records = run(cfg, sinks=(rec,))
-    return rec, records
-
-
 def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
                         max_workers: int | None = None) -> SweepResult:
     """Fit the convergence rate of u^eps toward the eps=0 reference.
@@ -164,7 +158,8 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
         raise ValueError("eps_list must span at least two decades")
 
     cfg_T = replace(base_cfg, t_end=T)
-    ref_rec, _ = _run_recorded(replace(cfg_T, eps=0.0))
+    ref_rec = StateRecorder()
+    run(replace(cfg_T, eps=0.0), sinks=(ref_rec,))
     for t, u in zip(ref_rec.times, ref_rec.states):
         tail = spectral_tail_fraction(u)
         if tail > TAIL_FRACTION_LIMIT:
@@ -175,7 +170,8 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
     idx = SobolevIndex(s - 1.0, "inhomogeneous")
 
     def one(eps):
-        rec, _ = _run_recorded(replace(cfg_T, eps=eps))
+        rec = StateRecorder()
+        run(replace(cfg_T, eps=eps), sinks=(rec,))
         errs = []
         for uref, ueps in zip(ref_rec.states, rec.states):
             diff = SpectralVelocity(uref.lattice,
@@ -208,8 +204,12 @@ def alpha_comparison(base_cfg: SimConfig, alpha_list, eps: float,
     def one(alpha):
         try:
             cfg = replace(base_cfg, symbol="power", alpha=alpha, eps=eps)
-            rec, records = _run_recorded(cfg)
-        except Exception as err:  # sweep robustness: report, keep going
+            sym = cfg.build_symbol()
+            sinks = ()
+            if eps > 0:
+                sinks = (DefectSplitSink(sym, cfg.nu, eps, cfg.eta),)
+            _, records = run(cfg, sinks=sinks, symbol=sym)
+        except (NumericalError, ValueError) as err:  # report, keep going
             return {"error": f"{type(err).__name__}: {err}"}
         times = np.array([r.t for r in records])
         hyper = np.array([r.hyper_dissipation_rate for r in records])
@@ -219,10 +219,8 @@ def alpha_comparison(base_cfg: SimConfig, alpha_list, eps: float,
             "final_spectrum": records[-1].shell_spectrum,
             "error": None,
         }
-        if eps > 0:
-            sym = cfg.build_symbol(rec.states[0].lattice)
-            out["defect"] = defect_split(rec.times, rec.states, sym,
-                                         cfg.nu, eps, cfg.eta, cfg.t_end)
+        if sinks:
+            out["defect"] = sinks[0].result()
         return out
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -261,20 +259,8 @@ def kernel_interpolation_study(base_cfg: SimConfig, families) -> list:
         cls = classify(sym, band)
         entry["classification"] = cls
         if cls.tag == "hyperdissipative":
-            # run the loop directly around the kernel symbol
-            from .dynamics import Stepper, TrajectoryState, initial_condition
-            from .diagnostics import attach_budget_residuals, make_record
-            u0 = initial_condition(base_cfg, lattice)
-            stepper = Stepper(lattice, sym, base_cfg.nu, base_cfg.eps,
-                              base_cfg.dt, nonlinear=base_cfg.nonlinear)
-            state = TrajectoryState(u=u0, t=u0.t, step_index=0)
-            records = [make_record(state.u, base_cfg.nu, base_cfg.eps, sym)]
-            n_steps = int(round(base_cfg.t_end / base_cfg.dt))
-            for _ in range(n_steps):
-                state = stepper.step(state)
-                records.append(make_record(state.u, base_cfg.nu,
-                                           base_cfg.eps, sym))
-            attach_budget_residuals(records)
+            # sampled every step: the residual is a trapezoid over samples
+            _, records = run(replace(base_cfg, output_every=1), symbol=sym)
             entry["budget_residual"] = max(r.budget_residual for r in records)
         report.append(entry)
     return report

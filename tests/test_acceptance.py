@@ -178,8 +178,7 @@ class TestCriterion7:
             lat = states[0].lattice
             sym = power_symbol(lat, 1.0, alpha)
             for eta in (0.25, 0.5):
-                split = defect_split(times, states, sym, nu, eps, eta,
-                                     T=times[-1] - times[0])
+                split = defect_split(times, states, sym, nu, eps, eta)
                 grad_int = split.bound_rhs / (split.bound_constant
                                               * eta ** (2 * alpha - 2))
                 bound = eta ** (2 * alpha - 2) * grad_int  # C = 1 for mu = 1

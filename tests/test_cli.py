@@ -1,7 +1,13 @@
 """Command-line surface: subcommands, artifacts, exit-code contract."""
 import json
 
+import numpy as np
+import pytest
+
 from hyperns.cli import main
+from hyperns.dynamics import random_field
+from hyperns.lattice import WavenumberLattice
+from hyperns.snapshot import write_snapshot
 
 CONFIG = """\
 nu = 1e-2
@@ -64,6 +70,37 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == 3
 
 
+def read_columns(path):
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","),
+                    np.array([[float(v) for v in r.split(",")] for r in rows]).T))
+
+
+class TestResumedRun:
+    # t0 >= t_end, and 0 < t0 < t_end: the split must cover [t0, t0 + t_end]
+    @pytest.mark.parametrize("t0", [0.5, 1.0 / 512.0])
+    def test_defect_split_covers_the_resumed_run(self, tmp_path, t0):
+        u = random_field(WavenumberLattice(16, 3), 5, 2.0, 3.0, 0.5)
+        u.t = t0
+        snap = tmp_path / "start.hypf"
+        write_snapshot(u, snap, nu=1e-2, eps=1e-3, symbol_spec="power")
+        cfg = write_config(tmp_path, "nu = 1e-2\neps = 1e-3\nsymbol = power\n"
+                           "alpha = 1.25\nn = 16\ndim = 3\ndt = 1e-3\n"
+                           f"t_end = 0.004\nic = snapshot:{snap}\n"
+                           "output_every = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        rd = run_dir_of(out)
+        diag = read_columns(rd / "diagnostics.csv")
+        assert diag["t"][0] == t0
+        total = float(np.trapezoid(diag["hyper_dissipation_rate"], diag["t"]))
+        defect = {k: float(v[0])
+                  for k, v in read_columns(rd / "defect.csv").items()}
+        assert total > 0
+        assert abs(defect["low"] + defect["high"] - total) <= 1e-10 * total
+        assert defect["low"] <= defect["bound_rhs"]
+
+
 class TestEnergyAudit:
     def test_audit_passes_on_finished_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -79,6 +116,34 @@ class TestEnergyAudit:
         main(["run", str(cfg), "--out", str(out)])
         assert main(["energy-audit", str(run_dir_of(out)),
                      "--tol", "1e-30"]) == 3
+
+    def test_nan_residual_fails(self, tmp_path):
+        (tmp_path / "diagnostics.csv").write_text(
+            "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+            "budget_residual\n0,1,1,1,1,0\n0.1,nan,1,1,1,0\n")
+        assert main(["energy-audit", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("table", [
+        "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+        "budget_residual\n0,1,1,1,1,0\n0.1,abc,1,1,1,0\n",
+        "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+        "budget_residual\n0,1,1,1,1,0\n0.1,1,1,1\n",
+        "t,energy,enstrophy,visc_dissipation_rate,budget_residual\n"
+        "0,1,1,1,0\n0.1,1,1,1,0\n",
+        "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+        "budget_residual\n",
+        "",
+        "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+        "budget_residual\n0,1,1,1,1,0\n0.1,1,1,1,1,0\n0.1,1,1,1,1,0\n",
+    ], ids=["non-numeric", "ragged", "missing-column", "no-rows", "empty",
+            "repeated-t"])
+    def test_malformed_table_is_io_error(self, tmp_path, capsys, table):
+        (tmp_path / "diagnostics.csv").write_text(table)
+        assert main(["energy-audit", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestClassifyCommand:

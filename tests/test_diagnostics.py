@@ -7,10 +7,12 @@ import pytest
 
 from conftest import bandlimited_field, stream_function_field
 from hyperns.config import SimConfig
-from hyperns.diagnostics import (crossover_frequency, defect_split,
-                                 energy_budget, linear_damping_curve,
-                                 make_record, mode_decay_curve, shell_spectrum)
+from hyperns.diagnostics import (DefectSplitSink, crossover_frequency,
+                                 defect_split, energy_budget,
+                                 linear_damping_curve, make_record,
+                                 mode_decay_curve, shell_spectrum)
 from hyperns.dynamics import Stepper, TrajectoryState, run
+from hyperns.experiments import StateRecorder
 from hyperns.lattice import SpectralVelocity, WavenumberLattice
 from hyperns.symbols import power_symbol
 
@@ -142,7 +144,7 @@ class TestDefectSplit:
         # mode at |k| = eta R/2: D_low / (nu int ||grad u||^2) = (eta/2)^{2a-2}
         nu, eps, alpha, eta = 0.16, 0.01, 1.5, 0.5
         times, states, sym = self._single_mode_run(nu, eps, alpha, 4)
-        split = defect_split(times, states, sym, nu, eps, eta, T=0.2)
+        split = defect_split(times, states, sym, nu, eps, eta)
         assert split.crossover == pytest.approx(16.0, rel=1e-12)
         visc = split.bound_rhs / (split.bound_constant
                                   * eta ** (2 * alpha - 2))
@@ -154,7 +156,7 @@ class TestDefectSplit:
     def test_all_energy_above_cut(self):
         nu, eps, alpha = 1e-4, 0.1, 1.5  # crossover R = 1e-3, cut below k=1
         times, states, sym = self._single_mode_run(nu, eps, alpha, 5)
-        split = defect_split(times, states, sym, nu, eps, 0.5, T=0.2)
+        split = defect_split(times, states, sym, nu, eps, 0.5)
         assert split.low == 0.0
         assert split.high > 0.0
 
@@ -171,37 +173,48 @@ class TestDefectSplit:
         _, records = run(cfg, sinks=(sink,))
         sym = cfg.build_symbol(states[0].lattice)
         for eta in (0.25, 0.5):
-            split = defect_split(times, states, sym, cfg.nu, cfg.eps, eta,
-                                 T=cfg.t_end)
+            split = defect_split(times, states, sym, cfg.nu, cfg.eps, eta)
             hyper = np.array([r.hyper_dissipation_rate for r in records])
             ts = np.array([r.t for r in records])
             total = float(np.trapezoid(hyper, ts))
             assert split.low + split.high == pytest.approx(total, rel=1e-10)
             assert split.low <= split.bound_rhs * (1 + 1e-12)
 
+    def test_sink_matches_split_over_recorded_states(self):
+        cfg = SimConfig(nu=1e-2, eps=1e-3, symbol="power", alpha=1.25,
+                        n=32, dim=2, dt=5e-3, t_end=0.1, ic="random",
+                        amplitude=0.5, output_every=3)
+        sym = cfg.build_symbol()
+        sink = DefectSplitSink(sym, cfg.nu, cfg.eps, cfg.eta)
+        rec = StateRecorder()
+        run(cfg, sinks=(sink, rec), symbol=sym)
+        assert not hasattr(sink, "states")
+        assert sink.result() == defect_split(rec.times, rec.states, sym,
+                                             cfg.nu, cfg.eps, cfg.eta)
+
     def test_eta_validation(self):
         times, states, sym = self._single_mode_run(0.1, 0.01, 1.5, 4)
         for eta in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError, match="eta"):
-                defect_split(times, states, sym, 0.1, 0.01, eta, T=0.1)
+                defect_split(times, states, sym, 0.1, 0.01, eta)
 
 
 class TestLinearCurves:
     def test_damping_value(self):
-        _, lam = linear_damping_curve(1.0, 1.0, 1.25, [2.0])
+        lam = linear_damping_curve(1.0, 1.0, 1.25, [2.0])
         assert lam[0] == pytest.approx(9.65685, abs=1e-5)
 
     def test_alpha_one_collapses(self):
         k = np.arange(1.0, 9.0)
-        _, lam = linear_damping_curve(0.3, 0.7, 1.0, k)
+        lam = linear_damping_curve(0.3, 0.7, 1.0, k)
         assert np.max(np.abs(lam - k ** 2)) <= 1e-12
 
     def test_zero_wavenumber(self):
-        _, lam = linear_damping_curve(1.0, 1.0, 1.5, [0.0])
+        lam = linear_damping_curve(1.0, 1.0, 1.5, [0.0])
         assert lam[0] == 0.0
 
     def test_decay_value(self):
-        _, e = mode_decay_curve(1.0, 1.0, 1.0, 8.0, [0.0, 1e-2])
+        e = mode_decay_curve(1.0, 1.0, 1.0, 8.0, [0.0, 1e-2])
         assert e[0] == 1.0
         assert e[1] == pytest.approx(math.exp(-2.56), rel=1e-12)
 
@@ -215,29 +228,29 @@ class TestLinearCurves:
         for nu, mu, alpha in itertools.product((1.0, 0.3), (1.0, 0.7),
                                                (1.0, 1.25, 1.5)):
             case = f"nu={nu} mu={mu} alpha={alpha}"
-            _, lam = linear_damping_curve(nu, mu, alpha, k)
+            lam = linear_damping_curve(nu, mu, alpha, k)
             off = [int(x) for x, got in zip(k.tolist(), lam.tolist())
                    if got != nu * math.pow(x, 2.0)
                    + mu * math.pow(x, 2.0 * alpha)]
             assert off == [], f"{case}: damping off at k={off}"
             rate = nu * math.pow(k0, 2.0) + mu * math.pow(k0, 2.0 * alpha)
-            _, e = mode_decay_curve(nu, mu, alpha, k0, t)
+            e = mode_decay_curve(nu, mu, alpha, k0, t)
             off = [s for s, got in zip(t.tolist(), e.tolist())
                    if got != float(np.exp(-2.0 * rate * s))]
             assert off == [], f"{case}: decay off at t={off}"
 
     def test_damping_input_contract(self):
-        _, lam = linear_damping_curve(0.3, 0.7, 1.25, 10.0)
+        lam = linear_damping_curve(0.3, 0.7, 1.25, 10.0)
         assert lam.shape == ()
         assert float(lam) == 0.3 * 100.0 + 0.7 * math.pow(10.0, 2.5)
         k = np.arange(6.0).reshape(2, 3)
-        _, lam = linear_damping_curve(0.3, 0.7, 1.25, k)
+        lam = linear_damping_curve(0.3, 0.7, 1.25, k)
         assert lam.shape == (2, 3)
         assert lam[1, 1] == 0.3 * 16.0 + 0.7 * math.pow(4.0, 2.5)
         with pytest.raises(ValueError):
             linear_damping_curve(1.0, 1.0, 1.25, [1.0, -1.0])
 
     def test_decay_monotone_in_alpha(self):
-        vals = [mode_decay_curve(1.0, 1.0, a, 8.0, [0.05])[1][0]
+        vals = [mode_decay_curve(1.0, 1.0, a, 8.0, [0.05])[0]
                 for a in (1.0, 1.25, 1.5)]
         assert vals[0] > vals[1] > vals[2]

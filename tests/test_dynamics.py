@@ -7,7 +7,7 @@ from hyperns.config import SimConfig
 from hyperns.dynamics import (CFLError, Stepper, TrajectoryState,
                               initial_condition, linear_propagator,
                               nonlinear_term, random_field, run,
-                              smallness_probe, step, taylor_green)
+                              smallness_probe, taylor_green)
 from hyperns.lattice import (SpectralVelocity, WavenumberLattice, dealias,
                              inner_product, leray_project)
 from hyperns.symbols import power_symbol
@@ -19,6 +19,12 @@ def base_config(**kw):
                     amplitude=0.5, seed=0, output_every=5)
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def make_stepper(cfg, sym=None):
+    lat = cfg.build_lattice()
+    return Stepper(lat, sym or cfg.build_symbol(lat), cfg.nu, cfg.eps, cfg.dt,
+                   nonlinear=cfg.nonlinear)
 
 
 class TestNonlinearTerm:
@@ -97,7 +103,8 @@ class TestStep:
         lat = cfg.build_lattice()
         sym = cfg.build_symbol(lat)
         u0 = stream_function_field(lat, 2)
-        st = step(TrajectoryState(u=u0.copy(), t=0.0, step_index=0), cfg, sym)
+        st = make_stepper(cfg, sym).step(
+            TrajectoryState(u=u0.copy(), t=0.0, step_index=0))
         expect = u0.coeffs * linear_propagator(sym, cfg.nu, cfg.eps, cfg.dt)
         occ = np.abs(expect) > 0
         err = np.max(np.abs(st.u.coeffs[occ] - expect[occ]) / np.abs(expect[occ]))
@@ -107,7 +114,7 @@ class TestStep:
         cfg = base_config()
         lat = cfg.build_lattice()
         u0 = SpectralVelocity(lat, np.zeros((2,) + lat.grid_shape, dtype=complex))
-        st = step(TrajectoryState(u=u0, t=0.0, step_index=0), cfg)
+        st = make_stepper(cfg).step(TrajectoryState(u=u0, t=0.0, step_index=0))
         assert np.max(np.abs(st.u.coeffs)) == 0.0
 
     def test_fourth_order_convergence(self):
@@ -130,15 +137,17 @@ class TestStep:
         lat = cfg.build_lattice()
         u0 = initial_condition(cfg, lat)
         with pytest.raises(CFLError) as err:
-            step(TrajectoryState(u=u0, t=0.0, step_index=0), cfg)
+            make_stepper(cfg).step(
+                TrajectoryState(u=u0, t=0.0, step_index=0))
         assert err.value.dt_admissible < cfg.dt
 
     def test_step_preserves_invariants(self):
         cfg = base_config()
         lat = cfg.build_lattice()
         st = TrajectoryState(u=initial_condition(cfg, lat), t=0.0, step_index=0)
+        stepper = make_stepper(cfg)
         for _ in range(5):
-            st = step(st, cfg)
+            st = stepper.step(st)
         assert st.u.divergence_max() <= 1e-12
         assert st.u.hermitian_defect() <= 1e-12
 
@@ -211,6 +220,18 @@ class TestRun:
         cfg = base_config(t_end=0.05, dt=5e-3, output_every=2)
         run(cfg, sinks=(lambda st, rec: calls.append(st.t),))
         assert len(calls) == 6  # initial + every 2nd of 10 steps
+
+    def test_given_symbol_replaces_the_configured_one(self):
+        cfg = base_config(t_end=0.02, seed=5)
+        lat = cfg.build_lattice()
+        _, plain = run(cfg)
+        _, same = run(cfg, symbol=power_symbol(lat, cfg.mu, cfg.alpha))
+        assert [r.energy for r in same] == [r.energy for r in plain]
+        _, double = run(cfg, symbol=power_symbol(lat, 2 * cfg.mu, cfg.alpha))
+        assert (double[0].hyper_dissipation_rate
+                == 2 * plain[0].hyper_dissipation_rate)
+        with pytest.raises(ValueError, match="lattice"):
+            run(cfg, symbol=power_symbol(WavenumberLattice(16, 2), 1.0, 1.25))
 
     def test_ic_validation(self):
         cfg = base_config(ic="taylor-green-3d")
