@@ -161,7 +161,10 @@ def _parse_symbol_spec(spec: str, lattice: WavenumberLattice):
         except ValueError as err:
             raise ConfigError(f"bad power symbol spec {spec!r}: {err}") from None
     if kind == "table":
-        return tabulated_symbol(lattice, arg)
+        try:
+            return tabulated_symbol(lattice, arg)
+        except ValueError as err:  # a malformed table; OSError stays I/O
+            raise ConfigError(f"bad symbol table: {err}") from None
     raise ConfigError(f"unknown symbol spec {spec!r} (use power:MU:ALPHA "
                       "or table:PATH)")
 

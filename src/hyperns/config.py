@@ -136,6 +136,12 @@ def parse_config(text: str) -> SimConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    # a preset names its dimension; a SimConfig built in code may still
+    # pair them otherwise, and initial_condition then refuses it
+    preset_dim = {"taylor-green-2d": 2, "taylor-green-3d": 3}.get(values["ic"])
+    if preset_dim not in (None, values["dim"]):
+        raise ConfigError(f"ic = {values['ic']} needs dim = {preset_dim}, "
+                          f"got dim = {values['dim']}")
     return SimConfig(**values)
 
 

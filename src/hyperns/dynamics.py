@@ -2,10 +2,13 @@
 
 Time stepping is integrating-factor RK4: the stiff diagonal linear part
 exp(-(nu k^2 + eps m(k)) t) is applied exactly, classical RK4 handles the
-dealiased pseudospectral nonlinear term.
+dealiased pseudospectral nonlinear term.  A step runs on raw coefficient
+arrays in the rfftn half layout (see :mod:`hyperns.lattice`) and returns
+the new state in the full layout.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +16,7 @@ import numpy as np
 from .config import SimConfig
 from .diagnostics import DiagnosticsRecord, attach_budget_residuals, make_record
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
-                      dealias, leray_project, sobolev_norm, _reflect)
+                      dealias, leray_project, sobolev_norm)
 from .symbols import MultiplierSymbol
 
 CFL_LIMIT = 1.5
@@ -47,41 +50,91 @@ class TrajectoryState:
     cfl_estimate: float = 0.0
 
 
+def _half_nonlinear(lat: WavenumberLattice, h: np.ndarray):
+    """Dealiased, projected div(u tensor u) / i of half-layout coefficients.
+
+    Returns (d, phys): B(u) = i d, and the physical velocity field.  One
+    inverse transform of the field and one forward transform of each
+    product u_i u_j, whose transform enters rows i and j.
+    """
+    dim = lat.dim
+    axes = tuple(range(-dim, 0))
+    phys = np.fft.irfftn(h, s=lat.grid_shape, axes=axes, norm="forward")
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    prod = np.empty((len(pairs),) + lat.grid_shape)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(phys[i], phys[j], out=prod[p])
+    t = np.fft.rfftn(prod, axes=axes, norm="forward")
+    k = lat.half_dealias_k
+    d = np.zeros_like(h)
+    for p, (i, j) in enumerate(pairs):
+        d[i] += k[j] * t[p]
+        if i != j:
+            d[j] += k[i] * t[p]
+    # Leray projection d - k (k.d) / |k|^2
+    d -= lat.half_leray * np.sum(lat.half_k * d, axis=0)
+    return d, phys
+
+
+def _negated_blocks(dim: int):
+    """(destination, source) index pairs with a[dst] = a(-kappa)[src] on
+    the first ``dim`` grid axes: index 0 maps to itself, 1..n-1 to n-1..1."""
+    parts = ((slice(0, 1), slice(0, 1)),
+             (slice(1, None), slice(None, 0, -1)))
+    for combo in itertools.product(parts, repeat=dim):
+        yield ((slice(None),) + tuple(c[0] for c in combo),
+               (slice(None),) + tuple(c[1] for c in combo))
+
+
+def _full_layout(lat: WavenumberLattice, h: np.ndarray) -> np.ndarray:
+    """Full-layout coefficients of half-layout ones, Hermitian by
+    construction: the kappa_last = 0 plane, which holds both kappa and
+    -kappa, is symmetrized, and the omitted half is filled by conjugation
+    u_hat(-kappa) = conj(u_hat(kappa))."""
+    m = lat.half_modes
+    out = np.empty((lat.dim,) + lat.grid_shape, dtype=np.complex128)
+    out[..., :m] = h
+    plane = out[..., 0]
+    neg = np.empty_like(plane)
+    # full modes n/2+1..n-1 of the last axis are the negatives of 1..n/2-1
+    tail, src = out[..., m:], h[..., m - 2:0:-1]
+    for dst, s in _negated_blocks(lat.dim - 1):
+        neg[dst] = plane[s]
+        np.conjugate(src[s], out=tail[dst])
+    plane += np.conj(neg)
+    plane *= 0.5
+    return out
+
+
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     """B(u) = dealias(P(div(u tensor u))), computed pseudospectrally.
 
-    The input is expected dealiased and divergence-free; the output is
-    both, and exactly energy-neutral under the two-thirds rule.
+    The input is expected dealiased, divergence-free and Hermitian (only
+    its half layout is read); the output is all three, and exactly
+    energy-neutral under the two-thirds rule.  This is the kernel the time
+    stepper runs.
     """
     lat = u.lattice
-    dim = lat.dim
-    phys = u.to_physical()
-    div_hat = np.empty_like(u.coeffs)
-    prod_hat = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            prod_hat[(i, j)] = lat.forward(phys[i] * phys[j])
-    for i in range(dim):
-        acc = np.zeros(lat.grid_shape, dtype=np.complex128)
-        for j in range(dim):
-            t_ij = prod_hat[(min(i, j), max(i, j))]
-            acc += 1j * lat.k[j] * t_ij
-        div_hat[i] = acc
-    out = SpectralVelocity(lat, div_hat, u.t)
-    return dealias(leray_project(out))
+    d, _ = _half_nonlinear(lat, u.coeffs[..., :lat.half_modes])
+    d *= 1j
+    return SpectralVelocity(lat, _full_layout(lat, d), u.t)
+
+
+def _decay(k_sq: np.ndarray, m: np.ndarray, nu: float, eps: float,
+           dt: float) -> np.ndarray:
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return np.exp(-(nu * k_sq + eps * m) * dt)
 
 
 def linear_propagator(sym: MultiplierSymbol, nu: float, eps: float,
                       dt: float) -> np.ndarray:
     """Pointwise decay factors exp(-(nu k^2 + eps m(k)) dt)."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    lat = sym.lattice
-    return np.exp(-(nu * lat.k_sq + eps * sym.m) * dt)
+    return _decay(sym.lattice.k_sq, sym.m, nu, eps, dt)
 
 
 class Stepper:
-    """One-trajectory integrator with precomputed propagators."""
+    """One-trajectory integrator with precomputed half-layout propagators."""
 
     def __init__(self, lattice: WavenumberLattice, sym: MultiplierSymbol,
                  nu: float, eps: float, dt: float, nonlinear: bool = True):
@@ -91,41 +144,46 @@ class Stepper:
         self.eps = eps
         self.dt = dt
         self.nonlinear = nonlinear
-        self.e_half = linear_propagator(sym, nu, eps, dt / 2.0)
-        self.e_full = linear_propagator(sym, nu, eps, dt)
+        m = sym.m[..., :lattice.half_modes]
+        self.e_half = _decay(lattice.half_k_sq, m, nu, eps, dt / 2.0)
+        self.e_full = _decay(lattice.half_k_sq, m, nu, eps, dt)
         self.k_max = lattice.k_unit * lattice.dealias_limit
 
-    def _rhs(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+    def _rhs(self, h: np.ndarray):
+        """-B of half-layout coefficients, and the physical velocity."""
         if not self.nonlinear:
-            return np.zeros_like(coeffs)
-        u = SpectralVelocity(self.lattice, coeffs, t)
-        return -nonlinear_term(u).coeffs
+            return np.zeros_like(h), None
+        d, phys = _half_nonlinear(self.lattice, h)
+        d *= -1j
+        return d, phys
 
-    def cfl(self, u: SpectralVelocity) -> float:
-        vmax = float(np.max(np.sqrt(np.sum(u.to_physical() ** 2, axis=0))))
+    def cfl(self, phys: np.ndarray) -> float:
+        """Advective CFL number of a physical velocity field."""
+        vmax = float(np.max(np.sqrt(np.sum(phys ** 2, axis=0))))
         return self.dt * vmax * self.k_max
 
     def step(self, state: TrajectoryState) -> TrajectoryState:
         dt = self.dt
-        c0 = state.u.coeffs
+        lat = self.lattice
+        c0 = state.u.coeffs[..., :lat.half_modes]
+        e1, e2 = self.e_half, self.e_full
+        n1, phys = self._rhs(c0)
         cfl = 0.0
         if self.nonlinear:
-            cfl = self.cfl(state.u)
+            # the first stage's physical field is the state's own
+            cfl = self.cfl(phys)
             if cfl > CFL_LIMIT:
                 raise CFLError(cfl, dt * CFL_LIMIT / cfl, state=state)
-        e1, e2 = self.e_half, self.e_full
-        n1 = self._rhs(c0, state.t)
-        n2 = self._rhs(e1 * (c0 + 0.5 * dt * n1), state.t + 0.5 * dt)
-        n3 = self._rhs(e1 * c0 + 0.5 * dt * n2, state.t + 0.5 * dt)
-        n4 = self._rhs(e2 * c0 + dt * e1 * n3, state.t + dt)
+        n2 = self._rhs(e1 * (c0 + 0.5 * dt * n1))[0]
+        n3 = self._rhs(e1 * c0 + 0.5 * dt * n2)[0]
+        n4 = self._rhs(e2 * c0 + dt * e1 * n3)[0]
         c1 = e2 * c0 + (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
         if not np.all(np.isfinite(c1)):
             raise NumericalError("NaN/Inf in solution after step",
                                  state=state)
         # guard against roundoff drift of the analytic invariants
-        c1 = 0.5 * (c1 + np.conj(_reflect(c1, self.lattice.dim)))
         t1 = state.t + dt
-        u1 = leray_project(SpectralVelocity(self.lattice, c1, t1))
+        u1 = leray_project(SpectralVelocity(lat, _full_layout(lat, c1), t1))
         return TrajectoryState(u=u1, t=t1, step_index=state.step_index + 1,
                                cfl_estimate=cfl)
 
@@ -182,10 +240,7 @@ def initial_condition(cfg: SimConfig,
         u = random_field(lattice, cfg.seed, cfg.sigma, cfg.k_c, cfg.amplitude)
     elif kind == "snapshot":
         from .snapshot import read_snapshot
-        u, _ = read_snapshot(arg)
-        if u.lattice != lattice:
-            raise ValueError(
-                f"snapshot lattice {u.lattice} does not match config lattice")
+        u, _ = read_snapshot(arg, lattice)
         return dealias(u)
     else:
         raise ValueError(f"unknown initial condition {cfg.ic!r}")

@@ -9,6 +9,15 @@ Conventions fixed here and used by every other module:
 * Nyquist rows (kappa_i = -n/2) are zeroed on construction of any
   velocity field;
 * dealiasing keeps |kappa_i| <= floor(n/3) (two-thirds rule).
+
+Velocity fields, snapshots and every public function use the full layout:
+coefficients of shape (dim, n, ..., n) in ``numpy.fft.fftn`` order.  The
+time stepper works internally in the ``rfftn`` half layout, which keeps
+only the modes 0 <= kappa_last <= n/2 of the last axis (n/2 + 1 entries,
+``numpy.fft.rfftfreq`` order); the other half follows from Hermitian
+symmetry u_hat(-kappa) = conj(u_hat(kappa)).  The lattice holds the
+wavevector, projection and dealiasing arrays of that layout (``half_*``),
+sliced from the full ones.
 """
 from __future__ import annotations
 
@@ -102,6 +111,36 @@ class WavenumberLattice:
         """Integer shell of each mode: shell s holds s-1/2 < |kappa| <= s+1/2."""
         r = self.k_mag / self.k_unit
         return np.ceil(r - 0.5).astype(np.int64)
+
+    # -- rfftn half layout --------------------------------------------------
+
+    @property
+    def half_modes(self) -> int:
+        """Entries n/2 + 1 of the last axis in the half layout."""
+        return self.n_per_dim // 2 + 1
+
+    def _half(self, a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(a[..., :self.half_modes])
+
+    @cached_property
+    def half_k(self) -> np.ndarray:
+        return self._half(self.k)
+
+    @cached_property
+    def half_k_sq(self) -> np.ndarray:
+        return self._half(self.k_sq)
+
+    @cached_property
+    def half_leray(self) -> np.ndarray:
+        """k / |k|^2 in the half layout, zero at the mean mode."""
+        ksq = self.half_k_sq.copy()
+        ksq[(0,) * self.dim] = 1.0
+        return self.half_k / ksq
+
+    @cached_property
+    def half_dealias_k(self) -> np.ndarray:
+        """k on the kept modes of the two-thirds rule, zero elsewhere."""
+        return self.half_k * self._half(self.dealias_mask)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -198,17 +237,18 @@ class SpectralVelocity:
         return 0.5 * self.l2_norm() ** 2
 
     def divergence_max(self) -> float:
-        """max over modes of |k.u_hat| / (|k| |u_hat|)."""
+        """Relative divergence ||k.u_hat||_2 / || |k| u_hat ||_2.
+
+        A ratio of sums over all modes, so modes at roundoff level weigh
+        by their size, and a field that is divergence-free in closed form
+        but transformed in floating point reads at roundoff.
+        """
         lat = self.lattice
-        num = np.abs(np.sum(lat.k * self.coeffs, axis=0))
-        den = lat.k_mag * np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=0))
-        scale = np.max(den)
-        if scale == 0:
+        num = np.sum(np.abs(np.sum(lat.k * self.coeffs, axis=0)) ** 2)
+        den = np.sum(lat.k_sq * np.sum(np.abs(self.coeffs) ** 2, axis=0))
+        if den == 0:
             return 0.0
-        mask = den > 1e-300
-        if not np.any(mask):
-            return 0.0
-        return float(np.max(num[mask] / den[mask]))
+        return float(np.sqrt(num / den))
 
     def hermitian_defect(self) -> float:
         return hermitian_defect(self.coeffs, self.lattice.dim)

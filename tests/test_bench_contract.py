@@ -1,0 +1,85 @@
+"""What the benchmark in perfbench/ reads from the program.
+
+The per-layer metrics of `perfbench/run.py` are sums over spans of named
+hyperns functions, and a metric whose function is gone is reported
+missing.  This runs a short `hyperns run` under the benchmark's own tracer
+and checks that every function those metrics name is still wrapped, that
+the CFL check runs once inside every step, and that the written snapshot
+passes the benchmark's own check.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import checks  # noqa: E402
+import spans  # noqa: E402
+from hyperns import cli  # noqa: E402
+
+STEPS = 3
+CONFIG = f"""\
+nu = 1e-2
+eps = 1e-3
+symbol = power
+alpha = 1.25
+n = 16
+dim = 2
+dt = 1e-3
+t_end = {STEPS}e-3
+ic = random
+seed = 2
+output_every = 1
+"""
+
+# the span names that run.py's per_layer reads, besides a symbol builder
+READ_SPANS = spans.FFT_SPANS + (
+    "lattice.leray_project", "lattice.dealias",
+    "lattice.SpectralVelocity.__post_init__", "dynamics.nonlinear_term",
+    spans.STEP_SPAN, "dynamics.Stepper.cfl", "diagnostics.make_record",
+    "diagnostics.defect_split", "dynamics.run", "lattice.sobolev_norm",
+    "experiments.spectral_tail_fraction", "snapshot.read_snapshot",
+    "snapshot.write_snapshot", "cli.write_csv", "config.parse_config")
+
+
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    """(tracer, run directory) of a traced 3-step 2-D n=16 run."""
+    tmp = tmp_path_factory.mktemp("contract")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(CONFIG)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        code = cli.main(["run", str(cfg), "--out", str(tmp / "out")])
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    run_dir, = (p for p in (tmp / "out").iterdir() if p.is_dir())
+    return tracer, run_dir
+
+
+def test_every_span_the_metrics_read_is_wrapped(traced_run):
+    tracer, _ = traced_run
+    missing = sorted(set(READ_SPANS) - tracer.names)
+    assert not missing
+    assert any(n.startswith("symbols.") and n.endswith("_symbol")
+               for n in tracer.names)
+
+
+def test_cfl_runs_once_inside_every_step(traced_run):
+    tracer, _ = traced_run
+    totals = tracer.totals()
+    assert totals[spans.STEP_SPAN]["count"] == STEPS
+    assert totals["dynamics.Stepper.cfl"]["count"] == STEPS
+    assert (tracer.parent_labels("dynamics.Stepper.cfl")
+            == [spans.STEP_SPAN] * STEPS)
+
+
+def test_snapshot_passes_the_benchmark_check(traced_run):
+    _, run_dir = traced_run
+    assert checks.snapshot_invariants(run_dir / "final.hypf") == []

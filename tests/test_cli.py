@@ -1,4 +1,5 @@
 """Command-line surface: subcommands, artifacts, exit-code contract."""
+import functools
 import json
 
 import numpy as np
@@ -60,6 +61,15 @@ class TestRunCommand:
                                                     "alpha = 0.9"))
         assert main(["run", str(cfg)]) == 2
 
+    def test_preset_dimension_mismatch_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CONFIG.replace("ic = random",
+                                                    "ic = taylor-green-2d")
+                           .replace("dim = 2", "dim = 3"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 4
 
@@ -99,6 +109,41 @@ class TestResumedRun:
         assert total > 0
         assert abs(defect["low"] + defect["high"] - total) <= 1e-10 * total
         assert defect["low"] <= defect["bound_rhs"]
+
+
+    def resume_config(self, tmp_path, snap, n=16, dim=3):
+        return write_config(tmp_path, "nu = 1e-2\neps = 1e-3\nsymbol = power\n"
+                            f"alpha = 1.25\nn = {n}\ndim = {dim}\ndt = 1e-3\n"
+                            f"t_end = 0.004\nic = snapshot:{snap}\n"
+                            "output_every = 2\n")
+
+    def test_wavevectors_built_on_one_lattice(self, tmp_path, monkeypatch):
+        u = random_field(WavenumberLattice(16, 3), 5, 2.0, 3.0, 0.5)
+        snap = tmp_path / "start.hypf"
+        write_snapshot(u, snap)
+        cfg = self.resume_config(tmp_path, snap)
+        built = []
+        plain = WavenumberLattice.kappa
+
+        def counted(lat):
+            built.append(lat)
+            return plain.func(lat)
+
+        kappa = functools.cached_property(counted)
+        kappa.__set_name__(WavenumberLattice, "kappa")
+        monkeypatch.setattr(WavenumberLattice, "kappa", kappa)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
+
+    def test_mismatched_snapshot_exit_code(self, tmp_path, capsys):
+        u = random_field(WavenumberLattice(16, 2), 5, 2.0, 3.0, 0.5)
+        snap = tmp_path / "start.hypf"
+        write_snapshot(u, snap)
+        cfg = self.resume_config(tmp_path, snap)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: ") and "lattice" in err
+        assert err.count("\n") == 1
 
 
 class TestEnergyAudit:
@@ -157,6 +202,14 @@ class TestClassifyCommand:
     def test_bad_spec_is_config_error(self):
         assert main(["classify", "--symbol", "power:1", "--n", "64",
                      "--dim", "2", "--band", "1:21"]) == 2
+
+    def test_bad_table_header_is_config_error(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("k,re_ell,im_ell\n1,-1,0\n")
+        assert main(["classify", "--symbol", f"table:{table}", "--n", "16",
+                     "--dim", "2", "--band", "1:5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and "header" in err
 
     def test_bad_band_is_config_error(self):
         assert main(["classify", "--symbol", "power:1:1.25", "--n", "64",

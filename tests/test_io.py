@@ -5,7 +5,7 @@ import pytest
 from conftest import bandlimited_field
 from hyperns.config import (ConfigError, SimConfig, canonical_text,
                             config_hash, parse_config)
-from hyperns.dynamics import run
+from hyperns.dynamics import run, taylor_green
 from hyperns.lattice import WavenumberLattice
 from hyperns.snapshot import SnapshotError, read_snapshot, write_snapshot
 
@@ -65,6 +65,14 @@ class TestParseConfig:
     def test_unknown_symbol_kind(self):
         text = MINIMAL.replace("symbol = power", "symbol = fractal")
         with pytest.raises(ConfigError, match="symbol"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("ic,dim", [("taylor-green-2d", 3),
+                                        ("taylor-green-3d", 2)])
+    def test_preset_needs_its_dimension(self, ic, dim):
+        text = MINIMAL.replace("dim = 2", f"dim = {dim}").replace(
+            "ic = taylor-green-2d", f"ic = {ic}")
+        with pytest.raises(ConfigError, match="needs dim"):
             parse_config(text)
 
     def test_comments_and_blank_lines_ignored(self):
@@ -162,3 +170,30 @@ class TestSnapshot:
                         ic=f"snapshot:{path}")
         with pytest.raises(ValueError, match="lattice"):
             run(cfg)
+
+    @pytest.mark.parametrize("n,dim", [(16, 2), (32, 2), (16, 3)])
+    def test_unprojected_taylor_green_round_trip(self, tmp_path, n, dim):
+        # divergence-free in closed form, transformed in floating point
+        u = taylor_green(WavenumberLattice(n, dim))
+        path = tmp_path / "tg.hypf"
+        write_snapshot(u, path)
+        back, _ = read_snapshot(path)
+        assert np.array_equal(back.coeffs, u.coeffs)
+
+    def test_invalid_header_lattice(self, tmp_path):
+        path = tmp_path / "field.hypf"
+        write_snapshot(bandlimited_field(WavenumberLattice(16, 2), 7, 5), path)
+        path.write_bytes(path.read_bytes().replace(b"n_per_dim=16",
+                                                   b"n_per_dim=15"))
+        with pytest.raises(SnapshotError, match="invalid lattice"):
+            read_snapshot(path)
+
+    def test_read_onto_a_given_lattice(self, tmp_path):
+        lat = WavenumberLattice(16, 2)
+        path = tmp_path / "field.hypf"
+        write_snapshot(bandlimited_field(lat, 7, 5), path)
+        run_lat = WavenumberLattice(16, 2)
+        back, _ = read_snapshot(path, run_lat)
+        assert back.lattice is run_lat
+        with pytest.raises(SnapshotError, match="does not match"):
+            read_snapshot(path, WavenumberLattice(16, 2, box_length=1.0))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import bandlimited_field
-from hyperns.lattice import (SobolevIndex, SpectralVelocity,
+from hyperns.dynamics import taylor_green
+from hyperns.lattice import (DIV_TOL, SobolevIndex, SpectralVelocity,
                              WavenumberLattice, _reflect, build_lattice,
                              dealias, inner_product, leray_project,
                              sobolev_norm)
@@ -199,6 +200,27 @@ class TestInvariants:
         assert u.coeffs[0, 0, 0] == 0.0
         assert np.all(u.coeffs[:, -4, :] == 0.0)
         assert np.all(u.coeffs[:, :, -4] == 0.0)
+
+    @pytest.mark.parametrize("n,dim", [(16, 2), (32, 2), (16, 3)])
+    def test_divergence_measure_is_scale_relative(self, n, dim):
+        # modes at roundoff level do not count at full weight
+        lat = build_lattice(n, dim)
+        u = taylor_green(lat)
+        assert u.divergence_max() <= 1e-14
+        # a divergent part of 1e-9 of the field is still caught
+        c = u.coeffs.copy()
+        c[:, 1, 1] += 1e-9 * np.max(np.abs(c)) * lat.k[:, 1, 1]
+        assert SpectralVelocity(lat, c).divergence_max() > DIV_TOL
+
+    def test_half_layout_arrays(self):
+        lat = build_lattice(8, 3)
+        assert lat.half_modes == 5
+        assert np.array_equal(lat.half_k, lat.k[..., :5])
+        assert np.array_equal(lat.half_k_sq, lat.k_sq[..., :5])
+        kept = lat.dealias_mask[..., :5]
+        assert np.all(lat.half_dealias_k[:, ~kept] == 0.0)
+        assert np.array_equal(lat.half_dealias_k[:, kept], lat.half_k[:, kept])
+        assert np.all(lat.half_leray[(slice(None),) + (0,) * 3] == 0.0)
 
     def test_inner_product_consistency(self):
         lat = build_lattice(16, 2)
