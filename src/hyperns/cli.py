@@ -15,7 +15,8 @@ from .config import ConfigError, SimConfig, config_hash, parse_config
 from .diagnostics import (DefectSplitSink, DiagnosticsRecord, energy_budget,
                           linear_damping_curve, mode_decay_curve)
 from .dynamics import NumericalError, run
-from .experiments import alpha_comparison, vanishing_eps_sweep
+from .experiments import (alpha_comparison, sweep_eps_values,
+                          vanishing_eps_sweep)
 from .lattice import WavenumberLattice
 from .snapshot import (SnapshotError, finalize_manifest, write_manifest,
                        write_snapshot)
@@ -80,10 +81,13 @@ def _read_diagnostics(path) -> list:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
+    try:
+        sym = cfg.build_symbol()
+    except ValueError as err:  # a malformed table; OSError stays I/O
+        raise ConfigError(f"bad symbol {cfg.symbol!r}: {err}") from None
     run_dir = _run_dir(cfg, args.out)
     write_manifest(run_dir, cfg)
     diag_path = run_dir / "diagnostics.csv"
-    sym = cfg.build_symbol()
     sinks = ()
     if cfg.eps > 0 and cfg.symbol.startswith("power"):
         sinks = (DefectSplitSink(sym, cfg.nu, cfg.eps, cfg.eta),)
@@ -116,10 +120,17 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_eps(args) -> int:
     cfg = _load_config(args.config)
-    eps_list = [float(v) for v in args.eps.split(",")]
+    try:
+        eps_list = sweep_eps_values(float(v) for v in args.eps.split(","))
+    except ValueError as err:
+        raise ConfigError(f"--eps: {err}") from None
     run_dir = _run_dir(cfg, args.out)
     write_manifest(run_dir, cfg)
-    result = vanishing_eps_sweep(cfg, eps_list, s=args.s, T=args.T)
+    try:
+        result = vanishing_eps_sweep(cfg, eps_list, s=args.s, T=args.T)
+    except NumericalError:  # e.g. an under-resolved reference: no table
+        finalize_manifest(run_dir, [])
+        raise
     path = run_dir / "sweep_eps.csv"
     write_csv(path, ["eps", "sup_error"],
               list(zip(result.values, result.outcomes["sup_error"])))
@@ -131,7 +142,10 @@ def cmd_sweep_eps(args) -> int:
 
 def cmd_compare_alpha(args) -> int:
     cfg = _load_config(args.config)
-    alpha_list = [float(v) for v in args.alpha.split(",")]
+    try:
+        alpha_list = [float(v) for v in args.alpha.split(",")]
+    except ValueError as err:
+        raise ConfigError(f"--alpha: {err}") from None
     eps = args.eps if args.eps is not None else cfg.eps
     run_dir = _run_dir(cfg, args.out)
     write_manifest(run_dir, cfg)

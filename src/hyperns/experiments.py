@@ -2,7 +2,6 @@
 exponent comparisons, and kernel-family classification."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,7 +10,8 @@ from .config import SimConfig
 from .diagnostics import DefectSplitSink, shell_spectrum
 from .dynamics import NumericalError, nonlinear_term, run
 from .lattice import SobolevIndex, SpectralVelocity, sobolev_norm
-from .symbols import MultiplierSymbol, apply_multiplier, classify, kernel_symbol
+from .symbols import (MultiplierSymbol, apply_multiplier, classify,
+                      kernel_symbol, power_symbol)
 
 TAIL_FRACTION_LIMIT = 1e-8
 
@@ -49,9 +49,8 @@ def _dilate_modes(u: SpectralVelocity, lam: int, factor: float,
         raise ValueError(
             f"dilation by {lam} pushes occupied modes outside the lattice")
     new = np.zeros_like(u.coeffs)
-    sel = in_range
-    src = tuple((kap[d] % n)[sel] for d in range(lat.dim))
-    dst = tuple(((lam * kap[d]) % n)[sel] for d in range(lat.dim))
+    src = tuple((kap[d] % n)[in_range] for d in range(lat.dim))
+    dst = tuple(((lam * kap[d]) % n)[in_range] for d in range(lat.dim))
     for c in range(lat.dim):
         new[c][dst] = factor * u.coeffs[c][src]
     return SpectralVelocity(lat, new, u.t)
@@ -88,7 +87,6 @@ def scaling_covariance_residual(u: SpectralVelocity, lam: int, alpha: float,
     """
     lat = u.lattice
     if sym is None:
-        from .symbols import power_symbol
         sym = power_symbol(lat, mu, alpha)
 
     def rhs(v: SpectralVelocity) -> SpectralVelocity:
@@ -132,56 +130,62 @@ class StateRecorder:
 def spectral_tail_fraction(u: SpectralVelocity) -> float:
     """Energy fraction in the top third of resolved shells."""
     radii, e = shell_spectrum(u)
-    lim = u.lattice.dealias_limit
     total = float(np.sum(e))
     if total == 0:
         return 0.0
-    cut = 2.0 * lim / 3.0
+    cut = 2.0 * u.lattice.dealias_limit / 3.0
     return float(np.sum(e[radii > cut]) / total)
+
+
+def sweep_eps_values(eps_list) -> list:
+    """Sorted eps values for a rate fit: >= 4, positive, two decades wide."""
+    eps_list = sorted(float(e) for e in eps_list)
+    if len(eps_list) < 4:
+        raise ValueError(f"need >= 4 eps values for a rate fit, got {len(eps_list)}")
+    if not all(0.0 < e < np.inf for e in eps_list):
+        raise ValueError("eps values must be positive and finite")
+    if eps_list[-1] / eps_list[0] < 100.0:
+        raise ValueError("eps_list must span at least two decades")
+    return eps_list
+
+
+def _check_resolved(state, record) -> None:
+    """Run sink: NumericalError at the first under-resolved sample."""
+    tail = spectral_tail_fraction(state.u)
+    if tail > TAIL_FRACTION_LIMIT:
+        raise NumericalError(
+            f"reference run loses resolution at t={state.t:.4f}: "
+            f"tail fraction {tail:.3e} > {TAIL_FRACTION_LIMIT}", state=state)
 
 
 def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
                         max_workers: int | None = None) -> SweepResult:
     """Fit the convergence rate of u^eps toward the eps=0 reference.
 
-    Runs the eps=0 reference once, then each eps from identical data;
+    Runs the eps=0 reference, then each eps of sweep_eps_values(eps_list);
     err(eps) = sup over samples of the inhomogeneous H^{s-1} distance.
-    The reference must stay resolved: its spectral tail fraction must
-    remain below 1e-8, the discrete stand-in for smoothness on [0, T].
+    NumericalError if the reference's spectral tail fraction exceeds 1e-8,
+    the discrete stand-in for smoothness on [0, T].  ``max_workers`` is
+    accepted and ignored: the runs go one after another in the calling thread.
     """
-    eps_list = sorted(float(e) for e in eps_list)
-    if len(eps_list) < 4:
-        raise ValueError(f"need >= 4 eps values for a rate fit, got {len(eps_list)}")
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
-    if eps_list[-1] / eps_list[0] < 100.0:
-        raise ValueError("eps_list must span at least two decades")
-
+    eps_list = sweep_eps_values(eps_list)
     cfg_T = replace(base_cfg, t_end=T)
     ref_rec = StateRecorder()
-    run(replace(cfg_T, eps=0.0), sinks=(ref_rec,))
-    for t, u in zip(ref_rec.times, ref_rec.states):
-        tail = spectral_tail_fraction(u)
-        if tail > TAIL_FRACTION_LIMIT:
-            raise RuntimeError(
-                f"reference run loses resolution at t={t:.4f}: "
-                f"tail fraction {tail:.3e} > {TAIL_FRACTION_LIMIT}")
-
+    run(replace(cfg_T, eps=0.0), sinks=(_check_resolved, ref_rec))
     idx = SobolevIndex(s - 1.0, "inhomogeneous")
 
     def one(eps):
-        rec = StateRecorder()
-        run(replace(cfg_T, eps=eps), sinks=(rec,))
         errs = []
-        for uref, ueps in zip(ref_rec.states, rec.states):
-            diff = SpectralVelocity(uref.lattice,
-                                    ueps.coeffs - uref.coeffs, uref.t)
+
+        def distance(state, record):
+            uref = ref_rec.states[len(errs)]
+            diff = SpectralVelocity(uref.lattice, state.u.coeffs - uref.coeffs, uref.t)
             errs.append(sobolev_norm(diff, idx))
+
+        run(replace(cfg_T, eps=eps), sinks=(distance,))
         return float(max(errs))
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        errors = list(pool.map(one, eps_list))
-
+    errors = [one(eps) for eps in eps_list]
     log_e, log_err = np.log(eps_list), np.log(errors)
     slope, intercept = np.polyfit(log_e, log_err, 1)
     rms = float(np.sqrt(np.mean((log_err - (slope * log_e + intercept)) ** 2)))
@@ -191,13 +195,13 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
         slope=float(slope), intercept=float(intercept), rms=rms)
 
 
-def alpha_comparison(base_cfg: SimConfig, alpha_list, eps: float,
-                     max_workers: int | None = None) -> SweepResult:
+def alpha_comparison(base_cfg: SimConfig, alpha_list,
+                     eps: float) -> SweepResult:
     """Run identical data across dissipation orders and tabulate outcomes.
 
-    Per alpha: sup_t enstrophy, time-integrated hyperdissipation, final
-    shell spectrum, and the defect split at the configured eta.  Per-alpha
-    failures are reported without aborting the sweep.
+    Per alpha, in the given order: sup_t enstrophy, time-integrated
+    hyperdissipation, final shell spectrum, and the defect split at the
+    configured eta.  Per-alpha failures are reported without aborting.
     """
     alpha_list = [float(a) for a in alpha_list]
 
@@ -223,9 +227,7 @@ def alpha_comparison(base_cfg: SimConfig, alpha_list, eps: float,
             out["defect"] = sinks[0].result()
         return out
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(one, alpha_list))
-
+    results = [one(a) for a in alpha_list]
     outcomes: dict = {key: [r.get(key) for r in results]
                       for key in ("sup_enstrophy", "total_hyperdissipation",
                                   "final_spectrum", "defect", "error")}
@@ -252,15 +254,12 @@ def kernel_interpolation_study(base_cfg: SimConfig, families) -> list:
         try:
             sym = kernel_symbol(lattice, builder(lattice))
         except ValueError as err:
-            entry["refused"] = True
-            entry["reason"] = str(err)
-            report.append(entry)
-            continue
-        cls = classify(sym, band)
-        entry["classification"] = cls
-        if cls.tag == "hyperdissipative":
-            # sampled every step: the residual is a trapezoid over samples
-            _, records = run(replace(base_cfg, output_every=1), symbol=sym)
-            entry["budget_residual"] = max(r.budget_residual for r in records)
+            entry.update(refused=True, reason=str(err))
+        else:
+            cls = entry["classification"] = classify(sym, band)
+            if cls.tag == "hyperdissipative":
+                # sampled every step: the residual is a trapezoid over samples
+                _, records = run(replace(base_cfg, output_every=1), symbol=sym)
+                entry["budget_residual"] = max(r.budget_residual for r in records)
         report.append(entry)
     return report

@@ -5,7 +5,8 @@ hyperns functions, and a metric whose function is gone is reported
 missing.  This runs a short `hyperns run` under the benchmark's own tracer
 and checks that every function those metrics name is still wrapped, that
 the CFL check runs once inside every step, and that the written snapshot
-passes the benchmark's own check.
+passes the benchmark's own check.  A tiny traced eps sweep, called as the
+`sweep-eps` workload calls it, checks the spans of the study metrics.
 """
 import sys
 from pathlib import Path
@@ -17,7 +18,8 @@ sys.path.insert(0, str(PERFBENCH))
 
 import checks  # noqa: E402
 import spans  # noqa: E402
-from hyperns import cli  # noqa: E402
+from hyperns import cli, experiments  # noqa: E402
+from hyperns.config import parse_config  # noqa: E402
 
 STEPS = 3
 CONFIG = f"""\
@@ -83,3 +85,25 @@ def test_cfl_runs_once_inside_every_step(traced_run):
 def test_snapshot_passes_the_benchmark_check(traced_run):
     _, run_dir = traced_run
     assert checks.snapshot_invariants(run_dir / "final.hypf") == []
+
+
+def test_traced_sweep_records_the_study_spans():
+    # the call of the sweep-eps workload, on a 2-D n=32 lattice for 0.02
+    cfg = parse_config(CONFIG.replace("n = 16", "n = 32")
+                       + "k_c = 1.5\namplitude = 0.5\n")
+    eps = [1e-2, 3e-3, 1e-3, 1e-4]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        res = experiments.vanishing_eps_sweep(cfg, eps, s=3.0, T=0.02,
+                                              max_workers=1)
+        tracer.enabled = False
+    finally:
+        tracer.uninstall()
+    assert res.values.tolist() == eps[::-1]
+    totals = tracer.totals()
+    assert totals["dynamics.run"]["count"] == 1 + len(eps)
+    samples = 1 + 20   # output_every = 1 over 20 steps of dt = 1e-3
+    assert totals["experiments.spectral_tail_fraction"]["count"] == samples
+    assert totals["lattice.sobolev_norm"]["count"] == len(eps) * samples

@@ -73,6 +73,28 @@ class TestRunCommand:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 4
 
+    @pytest.mark.parametrize("kind", ["table", "kernel"])
+    def test_malformed_symbol_table_is_config_error(self, tmp_path, capsys,
+                                                    kind):
+        table = tmp_path / "t.csv"
+        table.write_text("k,re_ell,im_ell\n1,-1,0\n")
+        cfg = write_config(tmp_path, CONFIG.replace(
+            "symbol = power", f"symbol = {kind}:{table}"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and "header" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_missing_symbol_table_is_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CONFIG.replace(
+            "symbol = power", f"symbol = table:{tmp_path / 'absent.csv'}"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: io: ")
+        assert not out.exists()
+
     def test_cfl_failure_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, CONFIG.replace("amplitude = 0.5",
                                                     "amplitude = 100"))
@@ -258,3 +280,39 @@ class TestSweepCommands:
         lines = (rd / "compare_alpha.csv").read_text().splitlines()
         assert lines[0].startswith("alpha,")
         assert len(lines) == 3
+
+    def test_under_resolved_reference_exit_code(self, tmp_path, capsys):
+        text = CONFIG + "k_c = 12\n"
+        cfg = write_config(tmp_path, text.replace("amplitude = 0.5",
+                                                  "amplitude = 5"))
+        out = tmp_path / "out"
+        code = main(["sweep-eps", str(cfg), "--eps", "1e-2,3e-3,1e-3,1e-4",
+                     "--s", "3.0", "--T", "0.1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical: ") and "resolution" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        manifest = json.loads((run_dir_of(out) / "manifest.json").read_text())
+        assert manifest["finalized"] and manifest["files"] == []
+
+    @pytest.mark.parametrize("eps", [
+        "abc", "1e-2,1e-3,1e-4", "1e-2,1e-3,0,1e-4", "1e-2,8e-3,6e-3,4e-3"])
+    def test_bad_eps_list_is_config_error(self, tmp_path, capsys, eps):
+        out = tmp_path / "out"
+        code = main(["sweep-eps", str(write_config(tmp_path)), "--eps", eps,
+                     "--s", "3.0", "--T", "0.1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: --eps: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_alpha_list_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["compare-alpha", str(write_config(tmp_path)),
+                     "--alpha", "1.25,x", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: --alpha: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()

@@ -1,17 +1,24 @@
 """Scaling symmetry, vanishing-hyperdissipation sweeps, exponent and
 kernel-family studies."""
+import inspect
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import bandlimited_field
+from hyperns import experiments
 from hyperns.config import SimConfig
-from hyperns.dynamics import run, taylor_green
-from hyperns.experiments import (alpha_comparison, dilate,
+from hyperns.dynamics import NumericalError, run, taylor_green
+from hyperns.experiments import (StateRecorder, alpha_comparison, dilate,
                                  dilation_norm_exponent,
                                  kernel_interpolation_study,
                                  scaling_covariance_residual,
-                                 spectral_tail_fraction, vanishing_eps_sweep)
-from hyperns.lattice import SpectralVelocity, WavenumberLattice
+                                 spectral_tail_fraction, sweep_eps_values,
+                                 vanishing_eps_sweep)
+from hyperns.lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
+                             sobolev_norm)
 
 
 def base_config(**kw):
@@ -128,6 +135,77 @@ class TestVanishingEpsSweep:
         b = vanishing_eps_sweep(cfg, eps, s=3.0, T=0.1)
         assert np.array_equal(a.outcomes["sup_error"], b.outcomes["sup_error"])
         assert a.slope == b.slope
+
+
+def calls_of_run(monkeypatch):
+    """Wrap experiments.run; returns the list of (thread id, cfg) it sees."""
+    calls = []
+    plain = experiments.run
+
+    def traced(cfg, *args, **kwargs):
+        calls.append((threading.get_ident(), cfg))
+        return plain(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", traced)
+    return calls
+
+
+class TestStreamingSweep:
+    CFG = dict(n=32, nu=0.1, alpha=1.5, k_c=1.5, output_every=10)
+    EPS = [1e-3, 1e-2, 1e-4, 3e-3]   # deliberately unsorted
+
+    def test_sup_error_equals_recorded_post_pass(self):
+        # the sweep's streaming distances against the record-then-compare
+        # algorithm: the same expressions, so the same floats
+        cfg = replace(base_config(**self.CFG), t_end=0.1)
+        res = vanishing_eps_sweep(cfg, self.EPS, s=3.0, T=0.1)
+        ref = StateRecorder()
+        run(replace(cfg, eps=0.0), sinks=(ref,))
+        idx = SobolevIndex(2.0, "inhomogeneous")
+        expect = []
+        for eps in sorted(self.EPS):
+            rec = StateRecorder()
+            run(replace(cfg, eps=eps), sinks=(rec,))
+            assert len(rec.states) == len(ref.states)
+            expect.append(float(max(
+                sobolev_norm(SpectralVelocity(uref.lattice,
+                                              ueps.coeffs - uref.coeffs,
+                                              uref.t), idx)
+                for uref, ueps in zip(ref.states, rec.states))))
+        assert res.outcomes["sup_error"].tolist() == expect
+
+    def test_runs_in_calling_thread_reference_first(self, monkeypatch):
+        calls = calls_of_run(monkeypatch)
+        vanishing_eps_sweep(base_config(**self.CFG), self.EPS, s=3.0,
+                            T=0.05, max_workers=4)
+        assert [t for t, _ in calls] == [threading.get_ident()] * 5
+        assert [c.eps for _, c in calls] == [0.0] + sorted(self.EPS)
+
+    def test_alpha_comparison_runs_in_order_in_calling_thread(
+            self, monkeypatch):
+        calls = calls_of_run(monkeypatch)
+        alphas = [1.5, 1.125, 1.25]
+        alpha_comparison(base_config(t_end=0.02), alphas, eps=1e-3)
+        assert [t for t, _ in calls] == [threading.get_ident()] * 3
+        assert [c.alpha for _, c in calls] == alphas
+        assert "max_workers" not in inspect.signature(
+            alpha_comparison).parameters
+
+    def test_under_resolved_reference_stops_before_eps_runs(
+            self, monkeypatch):
+        calls = calls_of_run(monkeypatch)
+        cfg = base_config(n=32, k_c=12.0, amplitude=5.0)
+        with pytest.raises(NumericalError, match="loses resolution") as err:
+            vanishing_eps_sweep(cfg, self.EPS, s=3.0, T=0.1)
+        assert isinstance(err.value, RuntimeError)
+        assert [c.eps for _, c in calls] == [0.0]
+
+    def test_eps_values_checked_and_sorted(self):
+        assert sweep_eps_values(self.EPS) == sorted(self.EPS)
+        for bad in ([1e-1, 1e-2, 1e-3, float("nan")],
+                    [1e-1, 1e-2, 1e-3, float("inf")]):
+            with pytest.raises(ValueError, match="positive"):
+                sweep_eps_values(bad)
 
 
 class TestAlphaComparison:
