@@ -1,25 +1,32 @@
 """Command-line surface.
 
 Exit codes are a stable contract: 0 success, 2 config error, 3 numerical
-failure (NaN/CFL), 4 I/O error.
+failure (NaN/CFL), 4 I/O error.  A command first builds everything that
+can fail on its input, so exit 2 makes no run directory; then it writes
+inside `run_directory`, whose manifest is finalized on every exit.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
+from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, SimConfig, config_hash, parse_config
+from . import __version__
+from .config import (ConfigError, SimConfig, canonical_text, config_hash,
+                     parse_config)
 from .diagnostics import (DefectSplitSink, DiagnosticsRecord, energy_budget,
                           linear_damping_curve, mode_decay_curve)
 from .dynamics import NumericalError, run
-from .experiments import (alpha_comparison, sweep_eps_values,
-                          vanishing_eps_sweep)
+from .experiments import (alpha_comparison, sweep_eps_inputs,
+                          sweep_eps_values, vanishing_eps_sweep)
 from .lattice import WavenumberLattice
-from .snapshot import (SnapshotError, finalize_manifest, write_manifest,
-                       write_snapshot)
+from .snapshot import SnapshotError, write_snapshot
 from .symbols import classify, power_symbol, tabulated_symbol
 
 EXIT_OK = 0
@@ -49,8 +56,51 @@ def _load_config(path) -> SimConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _run_dir(cfg: SimConfig, out: str) -> Path:
-    return Path(out) / config_hash(cfg)[:12]
+@contextlib.contextmanager
+def _config_input(what: str):
+    """Report a ValueError raised on the user's input as a ConfigError.
+
+    Never wrap a snapshot read: SnapshotError is a ValueError too, and its
+    exit 4 would turn into exit 2.
+    """
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{what}: {err}") from None
+
+
+@contextlib.contextmanager
+def run_directory(cfg: SimConfig, out):
+    """The run directory out/<config_hash[:12]> and its manifest.json.
+
+    Yields (directory, files); the command appends to ``files`` the name of
+    each file it has written.  On every exit the manifest is finalized with
+    the end time and the sorted files.  An exception leaving the block,
+    a BaseException too, is recorded as ``failure`` and re-raised unchanged.
+    """
+    digest = config_hash(cfg)
+    run_dir = Path(out) / digest[:12]
+    run_dir.mkdir(parents=True, exist_ok=True)
+    manifest = dict(config=canonical_text(cfg), code_version=__version__,
+                    seed=cfg.seed, config_hash=digest,
+                    started=datetime.now(timezone.utc).isoformat(),
+                    ended=None, files=[], finalized=False, failure=None)
+    path = run_dir / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    files = []
+    try:
+        yield run_dir, files
+    except BaseException as err:
+        state = err.state if isinstance(err, NumericalError) else None
+        manifest["failure"] = dict(
+            exception=type(err).__name__, message=str(err),
+            step_index=getattr(state, "step_index", None),
+            t=getattr(state, "t", None))
+        raise
+    finally:
+        manifest.update(ended=datetime.now(timezone.utc).isoformat(),
+                        files=sorted(files), finalized=True)
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _write_diagnostics(path, records) -> None:
@@ -81,38 +131,35 @@ def _read_diagnostics(path) -> list:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    try:
+    # a malformed table; OSError stays I/O.  A snapshot is read in run.
+    with _config_input(f"bad symbol {cfg.symbol!r}"):
         sym = cfg.build_symbol()
-    except ValueError as err:  # a malformed table; OSError stays I/O
-        raise ConfigError(f"bad symbol {cfg.symbol!r}: {err}") from None
-    run_dir = _run_dir(cfg, args.out)
-    write_manifest(run_dir, cfg)
-    diag_path = run_dir / "diagnostics.csv"
     sinks = ()
     if cfg.eps > 0 and cfg.symbol.startswith("power"):
         sinks = (DefectSplitSink(sym, cfg.nu, cfg.eps, cfg.eta),)
-    try:
-        final, records = run(cfg, sinks=sinks, symbol=sym)
-    except NumericalError as err:
-        if err.records:
-            _write_diagnostics(diag_path, err.records)
-            finalize_manifest(run_dir, [diag_path.name])
-        raise
-    _write_diagnostics(diag_path, records)
-    spec_path = run_dir / "spectrum.csv"
-    spec = records[-1].shell_spectrum
-    write_csv(spec_path, ["shell", "energy"],
-              [(int(s), e) for s, e in enumerate(spec)])
-    snap_path = run_dir / "final.hypf"
-    write_snapshot(final.u, snap_path, nu=cfg.nu, eps=cfg.eps,
-                   symbol_spec=cfg.symbol)
-    if sinks:
-        d = sinks[0].result()
-        write_csv(run_dir / "defect.csv",
-                  ["eta", "crossover", "low", "high", "bound_rhs"],
-                  [(d.eta, d.crossover, d.low, d.high, d.bound_rhs)])
-    finalize_manifest(run_dir, [p.name for p in run_dir.iterdir()
-                                if p.name != "manifest.json"])
+    with run_directory(cfg, args.out) as (run_dir, files):
+        try:
+            final, records = run(cfg, sinks=sinks, symbol=sym)
+        except NumericalError as err:
+            if err.records:
+                _write_diagnostics(run_dir / "diagnostics.csv", err.records)
+                files.append("diagnostics.csv")
+            raise
+        _write_diagnostics(run_dir / "diagnostics.csv", records)
+        files.append("diagnostics.csv")
+        spec = records[-1].shell_spectrum
+        write_csv(run_dir / "spectrum.csv", ["shell", "energy"],
+                  [(int(s), e) for s, e in enumerate(spec)])
+        files.append("spectrum.csv")
+        write_snapshot(final.u, run_dir / "final.hypf", nu=cfg.nu,
+                       eps=cfg.eps, symbol_spec=cfg.symbol)
+        files.append("final.hypf")
+        if sinks:
+            d = sinks[0].result()
+            write_csv(run_dir / "defect.csv",
+                      ["eta", "crossover", "low", "high", "bound_rhs"],
+                      [(d.eta, d.crossover, d.low, d.high, d.bound_rhs)])
+            files.append("defect.csv")
     print(f"run complete: {run_dir} "
           f"(max budget residual {max(r.budget_residual for r in records):.3e})")
     return EXIT_OK
@@ -120,21 +167,16 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_eps(args) -> int:
     cfg = _load_config(args.config)
-    try:
+    with _config_input("--eps"):
         eps_list = sweep_eps_values(float(v) for v in args.eps.split(","))
-    except ValueError as err:
-        raise ConfigError(f"--eps: {err}") from None
-    run_dir = _run_dir(cfg, args.out)
-    write_manifest(run_dir, cfg)
-    try:
+    with _config_input("--s/--T"):
+        sweep_eps_inputs(cfg, eps_list, args.s, args.T)
+    # the directory's hash is the config file's own config, not t_end = T
+    with run_directory(cfg, args.out) as (run_dir, files):
         result = vanishing_eps_sweep(cfg, eps_list, s=args.s, T=args.T)
-    except NumericalError:  # e.g. an under-resolved reference: no table
-        finalize_manifest(run_dir, [])
-        raise
-    path = run_dir / "sweep_eps.csv"
-    write_csv(path, ["eps", "sup_error"],
-              list(zip(result.values, result.outcomes["sup_error"])))
-    finalize_manifest(run_dir, [path.name])
+        write_csv(run_dir / "sweep_eps.csv", ["eps", "sup_error"],
+                  list(zip(result.values, result.outcomes["sup_error"])))
+        files.append("sweep_eps.csv")
     print(f"slope={result.slope:.17g} intercept={result.intercept:.17g} "
           f"rms={result.rms:.17g}")
     return EXIT_OK
@@ -142,26 +184,24 @@ def cmd_sweep_eps(args) -> int:
 
 def cmd_compare_alpha(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        alpha_list = [float(v) for v in args.alpha.split(",")]
-    except ValueError as err:
-        raise ConfigError(f"--alpha: {err}") from None
     eps = args.eps if args.eps is not None else cfg.eps
-    run_dir = _run_dir(cfg, args.out)
-    write_manifest(run_dir, cfg)
-    result = alpha_comparison(cfg, alpha_list, eps)
-    rows = []
-    for i, alpha in enumerate(result.values):
-        err = result.outcomes["error"][i]
-        if err:
-            rows.append((alpha, "nan", "nan", err))
-            continue
-        rows.append((alpha, result.outcomes["sup_enstrophy"][i],
-                     result.outcomes["total_hyperdissipation"][i], ""))
-    path = run_dir / "compare_alpha.csv"
-    write_csv(path, ["alpha", "sup_enstrophy", "total_hyperdissipation",
-                     "error"], rows)
-    finalize_manifest(run_dir, [path.name])
+    with _config_input("--eps"):
+        replace(cfg, eps=eps)
+    with _config_input("--alpha"):
+        alpha_list = [float(v) for v in args.alpha.split(",")]
+        for alpha in alpha_list:  # the configs alpha_comparison derives
+            replace(cfg, symbol="power", alpha=alpha, eps=eps)
+    with run_directory(cfg, args.out) as (run_dir, files):
+        result = alpha_comparison(cfg, alpha_list, eps)
+        out = result.outcomes
+        rows = [(alpha, "nan", "nan", err) if err else (alpha, sup, hyper, "")
+                for alpha, sup, hyper, err in zip(
+                    result.values, out["sup_enstrophy"],
+                    out["total_hyperdissipation"], out["error"])]
+        path = run_dir / "compare_alpha.csv"
+        write_csv(path, ["alpha", "sup_enstrophy", "total_hyperdissipation",
+                         "error"], rows)
+        files.append(path.name)
     print(f"comparison written: {path}")
     return EXIT_OK
 
@@ -169,28 +209,23 @@ def cmd_compare_alpha(args) -> int:
 def _parse_symbol_spec(spec: str, lattice: WavenumberLattice):
     kind, _, arg = spec.partition(":")
     if kind == "power":
-        try:
+        with _config_input(f"bad power symbol spec {spec!r}"):
             mu_s, alpha_s = arg.split(":")
             return power_symbol(lattice, float(mu_s), float(alpha_s))
-        except ValueError as err:
-            raise ConfigError(f"bad power symbol spec {spec!r}: {err}") from None
     if kind == "table":
-        try:
+        with _config_input("bad symbol table"):  # OSError stays I/O
             return tabulated_symbol(lattice, arg)
-        except ValueError as err:  # a malformed table; OSError stays I/O
-            raise ConfigError(f"bad symbol table: {err}") from None
     raise ConfigError(f"unknown symbol spec {spec!r} (use power:MU:ALPHA "
                       "or table:PATH)")
 
 
 def cmd_classify(args) -> int:
-    lattice = WavenumberLattice(args.n, args.dim)
+    with _config_input("--n/--dim"):
+        lattice = WavenumberLattice(args.n, args.dim)
     sym = _parse_symbol_spec(args.symbol, lattice)
-    try:
-        lo, hi = (float(v) for v in args.band.split(":"))
-    except ValueError:
-        raise ConfigError(f"bad band {args.band!r}, expected LO:HI") from None
-    cls = classify(sym, (lo, hi))
+    with _config_input(f"--band {args.band!r} (LO:HI)"):
+        lo, _, hi = args.band.partition(":")
+        cls = classify(sym, (float(lo), float(hi)))
     parts = [f"tag={cls.tag}"]
     if cls.alpha_hat is not None:
         parts.append(f"alpha_hat={cls.alpha_hat:.6g}")
@@ -202,28 +237,25 @@ def cmd_classify(args) -> int:
 
 
 def cmd_linear_spectra(args) -> int:
-    alphas = [float(v) for v in args.alpha.split(",")]
+    with _config_input("--alpha"):
+        alphas = [float(v) for v in args.alpha.split(",")]
+    # (kind, file, abscissa, column prefix, values, curves), built before a write
+    with _config_input("linear-spectra"):
+        k = np.arange(0, args.kmax + 1, dtype=float)
+        tables = [("damping", "damping_rates.csv", "k", "lambda_alpha", k,
+                   [linear_damping_curve(args.nu, args.mu, a, k)
+                    for a in alphas])]
+        if args.k0 is not None:
+            t = np.linspace(0.0, args.tmax, args.points)
+            tables.append(("decay", "mode_decay.csv", "t", "E_alpha", t,
+                           [mode_decay_curve(args.nu, args.mu, a, args.k0, t)
+                            for a in alphas]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    k = np.arange(0, args.kmax + 1, dtype=float)
-    cols = [k]
-    header = ["k"]
-    for alpha in alphas:
-        cols.append(linear_damping_curve(args.nu, args.mu, alpha, k))
-        header.append(f"lambda_alpha_{alpha:g}")
-    path = out / "damping_rates.csv"
-    write_csv(path, header, zip(*cols))
-    print(f"damping table: {path}")
-    if args.k0 is not None:
-        t = np.linspace(0.0, args.tmax, args.points)
-        cols = [t]
-        header = ["t"]
-        for alpha in alphas:
-            cols.append(mode_decay_curve(args.nu, args.mu, alpha, args.k0, t))
-            header.append(f"E_alpha_{alpha:g}")
-        path = out / "mode_decay.csv"
-        write_csv(path, header, zip(*cols))
-        print(f"decay table: {path}")
+    for kind, name, x, prefix, xs, curves in tables:
+        write_csv(out / name, [x] + [f"{prefix}_{a:g}" for a in alphas],
+                  zip(xs, *curves))
+        print(f"{kind} table: {out / name}")
     return EXIT_OK
 
 
@@ -300,10 +332,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"error: numerical: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SnapshotError as err:
-        print(f"error: io: {err}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as err:
+    except (SnapshotError, OSError) as err:
         print(f"error: io: {err}", file=sys.stderr)
         return EXIT_IO
 

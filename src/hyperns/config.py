@@ -48,6 +48,17 @@ class SimConfig:
     nonlinear: bool = True
 
     def __post_init__(self):
+        for key, val in vars(self).items():
+            # an unset alpha is NaN: only power symbols need one
+            if isinstance(val, float) and not math.isfinite(val) and not (
+                    key == "alpha" and math.isnan(val)):
+                raise ConfigError(f"{key} must be finite, got {val}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not self.k_c > 0:
+            raise ConfigError(f"k_c must be positive, got {self.k_c}")
+        if not self.amplitude > 0:
+            raise ConfigError(f"amplitude must be positive, got {self.amplitude}")
         if not self.nu > 0:
             raise ConfigError(f"nu must be positive, got {self.nu}")
         if self.eps < 0:
@@ -60,6 +71,10 @@ class SimConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ConfigError(f"t_end / dt = {steps:g} must round to a "
+                              "finite step count of at least 1")
         if not self.box_length > 0:
             raise ConfigError(f"box_length must be positive, got {self.box_length}")
         if self.output_every < 1:

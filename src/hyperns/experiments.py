@@ -149,6 +149,16 @@ def sweep_eps_values(eps_list) -> list:
     return eps_list
 
 
+def sweep_eps_inputs(base_cfg: SimConfig, eps_list, s: float, T: float):
+    """The checked arguments of a sweep, built before any run.
+
+    Returns (the eps values of sweep_eps_values, the config with t_end = T,
+    the inhomogeneous H^{s-1} index); ValueError on a bad argument.
+    """
+    return (sweep_eps_values(eps_list), replace(base_cfg, t_end=T),
+            SobolevIndex(s - 1.0, "inhomogeneous"))
+
+
 def _check_resolved(state, record) -> None:
     """Run sink: NumericalError at the first under-resolved sample."""
     tail = spectral_tail_fraction(state.u)
@@ -162,17 +172,16 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
                         max_workers: int | None = None) -> SweepResult:
     """Fit the convergence rate of u^eps toward the eps=0 reference.
 
-    Runs the eps=0 reference, then each eps of sweep_eps_values(eps_list);
+    Checks its arguments (sweep_eps_inputs), runs the eps=0 reference, then
+    each eps of sweep_eps_values(eps_list);
     err(eps) = sup over samples of the inhomogeneous H^{s-1} distance.
     NumericalError if the reference's spectral tail fraction exceeds 1e-8,
     the discrete stand-in for smoothness on [0, T].  ``max_workers`` is
     accepted and ignored: the runs go one after another in the calling thread.
     """
-    eps_list = sweep_eps_values(eps_list)
-    cfg_T = replace(base_cfg, t_end=T)
+    eps_list, cfg_T, idx = sweep_eps_inputs(base_cfg, eps_list, s, T)
     ref_rec = StateRecorder()
     run(replace(cfg_T, eps=0.0), sinks=(_check_resolved, ref_rec))
-    idx = SobolevIndex(s - 1.0, "inhomogeneous")
 
     def one(eps):
         errs = []

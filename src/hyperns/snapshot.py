@@ -1,4 +1,4 @@
-"""Snapshot persistence and run manifests.
+"""Snapshot persistence.
 
 Snapshot layout (all integers and floats little-endian):
 
@@ -11,15 +11,11 @@ Snapshot layout (all integers and floats little-endian):
 """
 from __future__ import annotations
 
-import datetime
-import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .config import SimConfig, canonical_text, config_hash
 from .lattice import DIV_TOL, SpectralVelocity, WavenumberLattice
 
 MAGIC = b"HYPF"
@@ -108,30 +104,3 @@ def read_snapshot(path, lattice: WavenumberLattice | None = None):
             f"{path}: divergence tolerance violated ({div:.3e} relative)")
     return u, header
 
-
-def write_manifest(run_dir: Path, cfg: SimConfig) -> Path:
-    """Write the pre-run manifest; finalized later by finalize_manifest."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": canonical_text(cfg),
-        "code_version": __version__,
-        "seed": cfg.seed,
-        "config_hash": config_hash(cfg),
-        "started": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "ended": None,
-        "files": [],
-        "finalized": False,
-    }
-    path = run_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
-
-
-def finalize_manifest(run_dir: Path, files: list) -> None:
-    path = Path(run_dir) / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["ended"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    manifest["files"] = sorted(str(f) for f in files)
-    manifest["finalized"] = True
-    path.write_text(json.dumps(manifest, indent=2) + "\n")

@@ -8,6 +8,7 @@ the CFL check runs once inside every step, and that the written snapshot
 passes the benchmark's own check.  A tiny traced eps sweep, called as the
 `sweep-eps` workload calls it, checks the spans of the study metrics.
 """
+import json
 import sys
 from pathlib import Path
 
@@ -85,6 +86,29 @@ def test_cfl_runs_once_inside_every_step(traced_run):
 def test_snapshot_passes_the_benchmark_check(traced_run):
     _, run_dir = traced_run
     assert checks.snapshot_invariants(run_dir / "final.hypf") == []
+
+
+class Stop(BaseException):
+    """Like the benchmark's SetupDone: raised from a sink to end a command."""
+
+
+def test_base_exception_ends_run_and_finalizes_manifest(tmp_path,
+                                                        monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    stop = Stop()
+
+    def stopped(*args, **kwargs):
+        raise stop
+
+    monkeypatch.setattr(cli, "run", stopped)
+    with pytest.raises(Stop) as err:
+        cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert err.value is stop
+    run_dir, = (tmp_path / "out").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["finalized"] and manifest["files"] == []
+    assert manifest["failure"]["exception"] == "Stop"
 
 
 def test_traced_sweep_records_the_study_spans():

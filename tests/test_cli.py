@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from hyperns import experiments
 from hyperns.cli import main
+from hyperns.config import config_hash, parse_config
 from hyperns.dynamics import random_field
 from hyperns.lattice import WavenumberLattice
 from hyperns.snapshot import write_snapshot
@@ -39,6 +41,21 @@ def run_dir_of(out_root):
     return dirs[0]
 
 
+def assert_one_error_line(capsys, kind):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def failed_manifest(out_root, exception):
+    """The manifest of a failed run: finalized, its failure named."""
+    manifest = json.loads((run_dir_of(out_root) / "manifest.json").read_text())
+    assert manifest["finalized"]
+    assert manifest["failure"]["exception"] == exception
+    return manifest
+
+
 class TestRunCommand:
     def test_artifacts_and_manifest(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -49,7 +66,9 @@ class TestRunCommand:
         assert {"manifest.json", "diagnostics.csv", "spectrum.csv",
                 "final.hypf", "defect.csv"} <= names
         manifest = json.loads((rd / "manifest.json").read_text())
-        assert manifest["finalized"]
+        assert manifest["finalized"] and manifest["failure"] is None
+        assert manifest["files"] == ["defect.csv", "diagnostics.csv",
+                                     "final.hypf", "spectrum.csv"]
         assert manifest["config_hash"] == rd.name + manifest["config_hash"][12:]
         lines = (rd / "diagnostics.csv").read_text().splitlines()
         assert lines[0].startswith("t,energy,enstrophy")
@@ -95,11 +114,40 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: io: ")
         assert not out.exists()
 
-    def test_cfl_failure_exit_code(self, tmp_path):
+    def test_cfl_failure_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONFIG.replace("amplitude = 0.5",
                                                     "amplitude = 100"))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert_one_error_line(capsys, "numerical")
+        manifest = failed_manifest(out, "CFLError")
+        assert manifest["files"] == ["diagnostics.csv"]
+        assert isinstance(manifest["failure"]["step_index"], int)
+        assert isinstance(manifest["failure"]["t"], float)
+
+    def test_failed_output_write_finalizes_manifest(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        run_dir = out / config_hash(parse_config(CONFIG))[:12]
+        (run_dir / "final.hypf").mkdir(parents=True)
+        assert main(["run", str(cfg), "--out", str(out)]) == 4
+        assert_one_error_line(capsys, "io")
+        manifest = failed_manifest(out, "IsADirectoryError")
+        assert manifest["files"] == ["diagnostics.csv", "spectrum.csv"]
+        assert manifest["failure"]["step_index"] is None
+
+    @pytest.mark.parametrize("line", [
+        "t_end = inf", "dt = inf", "t_end = 2e-3", "seed = -1", "k_c = 0",
+        "eps = nan", "amplitude = nan", "amplitude = 0", "mu = inf"])
+    def test_degenerate_config_is_config_error(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        text = "".join(l + "\n" for l in CONFIG.splitlines()
+                       if not l.startswith(key + " ")) + line + "\n"
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert key in assert_one_error_line(capsys, "config")
+        assert not out.exists()
 
 
 def read_columns(path):
@@ -162,10 +210,11 @@ class TestResumedRun:
         snap = tmp_path / "start.hypf"
         write_snapshot(u, snap)
         cfg = self.resume_config(tmp_path, snap)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: io: ") and "lattice" in err
-        assert err.count("\n") == 1
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 4
+        assert "lattice" in assert_one_error_line(capsys, "io")
+        manifest = failed_manifest(out, "SnapshotError")
+        assert manifest["files"] == []
 
 
 class TestEnergyAudit:
@@ -237,6 +286,14 @@ class TestClassifyCommand:
         assert main(["classify", "--symbol", "power:1:1.25", "--n", "64",
                      "--dim", "2", "--band", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--n", "7", "--band", "1:3"],
+        ["--n", "8", "--dim", "4", "--band", "1:3"],
+        ["--n", "16", "--band", "1:2"]], ids=["odd-n", "dim-4", "few-shells"])
+    def test_bad_lattice_or_band_is_config_error(self, capsys, args):
+        assert main(["classify", "--symbol", "power:1:1.25", *args]) == 2
+        assert_one_error_line(capsys, "config")
+
 
 class TestLinearSpectra:
     def test_damping_and_decay_tables(self, tmp_path):
@@ -253,6 +310,16 @@ class TestLinearSpectra:
         first = decay[1].split(",")
         assert float(first[0]) == 0.0
         assert all(float(v) == 1.0 for v in first[1:])
+
+    @pytest.mark.parametrize("args", [
+        ["--alpha", "x"], ["--alpha", "1.25", "--k0", "2", "--tmax", "-1"]],
+        ids=["alpha", "negative-tmax"])
+    def test_bad_argument_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "tables"
+        assert main(["linear-spectra", "--nu", "1", "--mu", "1",
+                     "--kmax", "4", *args, "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "config")
+        assert not out.exists()
 
 
 class TestSweepCommands:
@@ -289,11 +356,10 @@ class TestSweepCommands:
         code = main(["sweep-eps", str(cfg), "--eps", "1e-2,3e-3,1e-3,1e-4",
                      "--s", "3.0", "--T", "0.1", "--out", str(out)])
         assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: numerical: ") and "resolution" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        manifest = json.loads((run_dir_of(out) / "manifest.json").read_text())
-        assert manifest["finalized"] and manifest["files"] == []
+        assert "resolution" in assert_one_error_line(capsys, "numerical")
+        manifest = failed_manifest(out, "NumericalError")
+        assert manifest["files"] == []
+        assert manifest["failure"]["t"] >= 0
 
     @pytest.mark.parametrize("eps", [
         "abc", "1e-2,1e-3,1e-4", "1e-2,1e-3,0,1e-4", "1e-2,8e-3,6e-3,4e-3"])
@@ -316,3 +382,23 @@ class TestSweepCommands:
         assert err.startswith("error: config: --alpha: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["sweep-eps", "--eps", "1e-2,3e-3,1e-3,1e-4", "--s", "3", "--T", "-1"],
+        ["sweep-eps", "--eps", "1e-2,3e-3,1e-3,1e-4", "--s", "nan",
+         "--T", "0.1"],
+        ["compare-alpha", "--alpha", "1.25,1.5", "--eps", "-1"],
+        ["compare-alpha", "--alpha", "0.5,1.25"]],
+        ids=["negative-T", "nan-s", "negative-eps", "alpha-below-1"])
+    def test_bad_study_argument_runs_nothing(self, tmp_path, capsys,
+                                             monkeypatch, args):
+        calls = []
+        monkeypatch.setattr(experiments, "run",
+                            lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        command, *flags = args
+        code = main([command, str(write_config(tmp_path)), *flags,
+                     "--out", str(out)])
+        assert code == 2
+        assert_one_error_line(capsys, "config")
+        assert not out.exists() and calls == []

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import bandlimited_field
 from hyperns import experiments
-from hyperns.config import SimConfig
+from hyperns.config import ConfigError, SimConfig
 from hyperns.dynamics import NumericalError, run, taylor_green
 from hyperns.experiments import (StateRecorder, alpha_comparison, dilate,
                                  dilation_norm_exponent,
@@ -199,6 +199,16 @@ class TestStreamingSweep:
             vanishing_eps_sweep(cfg, self.EPS, s=3.0, T=0.1)
         assert isinstance(err.value, RuntimeError)
         assert [c.eps for _, c in calls] == [0.0]
+
+    @pytest.mark.parametrize("s, T, error", [
+        (float("nan"), 0.1, ValueError), (3.0, -1.0, ConfigError),
+        (3.0, float("inf"), ConfigError)])
+    def test_bad_s_or_T_stops_before_the_reference(self, monkeypatch, s, T,
+                                                   error):
+        calls = calls_of_run(monkeypatch)
+        with pytest.raises(error):
+            vanishing_eps_sweep(base_config(**self.CFG), self.EPS, s=s, T=T)
+        assert calls == []
 
     def test_eps_values_checked_and_sorted(self):
         assert sweep_eps_values(self.EPS) == sorted(self.EPS)
