@@ -23,8 +23,7 @@ class SimConfig:
     """Physical and numerical parameters of one run.
 
     ``symbol`` is "power", "kernel:PATH" or "table:PATH"; ``ic`` is a
-    preset name, "random" or "snapshot:PATH".  ``nonlinear`` is internal
-    (not part of the config grammar): False runs the purely linear flow.
+    preset name, "random" or "snapshot:PATH".
     """
 
     nu: float
@@ -43,9 +42,7 @@ class SimConfig:
     sigma: float = 2.0
     k_c: float = 3.0
     amplitude: float = 0.5
-    s: float = 3.0
     eta: float = 0.5
-    nonlinear: bool = True
 
     def __post_init__(self):
         for key, val in vars(self).items():
@@ -119,7 +116,7 @@ _KEY_TYPES = {
     "symbol": str, "n": int, "dim": int, "box_length": float,
     "dt": float, "t_end": float, "output_every": int, "ic": str,
     "seed": int, "sigma": float, "k_c": float, "amplitude": float,
-    "s": float, "eta": float,
+    "eta": float,
 }
 _REQUIRED = ("nu", "eps", "symbol", "n", "dim", "dt", "t_end", "ic")
 

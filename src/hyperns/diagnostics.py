@@ -23,23 +23,37 @@ class DiagnosticsRecord:
     shell_spectrum: np.ndarray  # E(k_s) per integer shell, index = shell
 
 
-def make_record(u: SpectralVelocity, nu: float, eps: float,
+def make_record(state, nu: float, eps: float,
                 sym: MultiplierSymbol) -> DiagnosticsRecord:
-    lat = u.lattice
+    """Energy accounting of one sampled state.
+
+    ``state`` is a :class:`hyperns.dynamics.TrajectoryState`; every sum
+    here, the shell spectrum included, is taken over its ``mag2``.
+    """
+    lat = state.u.lattice
     vol = lat.box_length ** lat.dim
-    mag2 = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    mag2 = state.mag2
     energy = 0.5 * vol * float(np.sum(mag2))
     grad_sq = vol * float(np.sum(lat.k_sq * mag2))
     hyper = vol * float(np.sum(sym.m * mag2))
     return DiagnosticsRecord(
-        t=u.t,
+        t=state.t,
         energy=energy,
         enstrophy=0.5 * grad_sq,
         visc_dissipation_rate=nu * grad_sq,
         hyper_dissipation_rate=eps * hyper,
         budget_residual=0.0,
-        shell_spectrum=shell_spectrum(u)[1],
+        shell_spectrum=_shell_energies(lat, mag2),
     )
+
+
+def _shell_energies(lat, mag2: np.ndarray) -> np.ndarray:
+    """E(k_s) per integer shell of a per-mode |u_hat|^2 array."""
+    vol = lat.box_length ** lat.dim
+    shells = lat.shell_index
+    n_shell = int(shells.max()) + 1
+    return np.bincount(shells.ravel(), weights=(0.5 * vol * mag2).ravel(),
+                       minlength=n_shell)
 
 
 def shell_spectrum(u: SpectralVelocity):
@@ -48,14 +62,8 @@ def shell_spectrum(u: SpectralVelocity):
     Shell s collects modes with s-1/2 < |k|/k_unit <= s+1/2; the shells
     partition all modes, so sum_s E(k_s) equals the total energy exactly.
     """
-    lat = u.lattice
-    vol = lat.box_length ** lat.dim
-    mag2 = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    shells = lat.shell_index
-    n_shell = int(shells.max()) + 1
-    e = np.bincount(shells.ravel(), weights=(0.5 * vol * mag2).ravel(),
-                    minlength=n_shell)
-    return np.arange(n_shell, dtype=float), e
+    e = _shell_energies(u.lattice, u.mag2())
+    return np.arange(e.size, dtype=float), e
 
 
 def energy_budget(records: list) -> np.ndarray:
@@ -138,12 +146,11 @@ class DefectSplitSink:
         self.rows = []  # (t, low, high, ||grad u||^2) per sample
 
     def __call__(self, state, record) -> None:
-        self.add(state.t, state.u)
+        self._add(state.t, state.mag2)
 
-    def add(self, t: float, u: SpectralVelocity) -> None:
+    def _add(self, t: float, mag2: np.ndarray) -> None:
         lat = self.sym.lattice
         vol = lat.box_length ** lat.dim
-        mag2 = np.sum(np.abs(u.coeffs) ** 2, axis=0)
         wm = self.sym.m * mag2
         self.rows.append((float(t), vol * float(np.sum(wm[self.low_mask])),
                           vol * float(np.sum(wm[~self.low_mask])),
@@ -164,7 +171,7 @@ def defect_split(times, states, sym: MultiplierSymbol, nu: float, eps: float,
     """:class:`DefectSplitSink` over SpectralVelocity samples at ``times``."""
     sink = DefectSplitSink(sym, nu, eps, eta)
     for t, u in zip(times, states):
-        sink.add(t, u)
+        sink._add(t, u.mag2())
     return sink.result()
 
 

@@ -9,7 +9,9 @@ the new state in the full layout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +50,15 @@ class TrajectoryState:
     t: float
     step_index: int
     cfl_estimate: float = 0.0
+
+    @cached_property
+    def mag2(self) -> np.ndarray:
+        """The field's per-mode |u_hat|^2, computed on first use and kept.
+
+        :func:`run` samples a shallow copy of the state, so the array is
+        shared by the record and the sinks of one sample and dies with it.
+        """
+        return self.u.mag2()
 
 
 def _half_nonlinear(lat: WavenumberLattice, h: np.ndarray):
@@ -215,12 +226,19 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
     kmag = lattice.k_mag
     profile = np.zeros(lattice.grid_shape)
     nz = kmag > 0
-    profile[nz] = kmag[nz] ** sigma * np.exp(-kmag[nz] ** 2 / k_c ** 2)
+    # a k_c so small that k_c**2 underflows weighs every mode exp(-inf) = 0;
+    # a non-finite weight is refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        profile[nz] = kmag[nz] ** sigma * np.exp(-kmag[nz] ** 2 / k_c ** 2)
+    if not np.all(np.isfinite(profile)):
+        raise NumericalError("degenerate random field: spectral profile "
+                             f"overflows (sigma={sigma:g}, k_c={k_c:g})")
     u = SpectralVelocity(lattice, coeffs * profile)
     u = dealias(leray_project(u))
     norm = u.l2_norm()
-    if norm == 0:
-        raise ValueError("degenerate random field: zero norm")
+    if not (norm > 0 and math.isfinite(amplitude / norm)):
+        raise NumericalError(f"degenerate random field: L2 norm {norm:.3e} "
+                             f"cannot be scaled to amplitude {amplitude:g}")
     u.coeffs *= amplitude / norm
     return u
 
@@ -253,9 +271,10 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None):
     Returns (final state, records).  ``symbol``, if given, replaces the
     configured one.  ``sinks`` are callables invoked as sink(state, record)
     at every sample (every ``output_every`` steps, plus the initial and
-    final states).  Budget residuals are attached to the records after the
-    loop.  On a numerical failure the partial series is attached to the
-    raised :class:`NumericalError`.
+    final states).  The record and the sinks of one sample share that
+    state's ``mag2``, computed once.  Budget residuals are attached to the
+    records after the loop.  On a numerical failure the partial series is
+    attached to the raised :class:`NumericalError`.
     """
     sym = cfg.build_symbol() if symbol is None else symbol
     # the symbol's lattice already holds the cached wavevector arrays
@@ -264,15 +283,16 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None):
         raise ValueError(
             f"symbol lattice {lattice} does not match config lattice")
     u0 = initial_condition(cfg, lattice)
-    stepper = Stepper(lattice, sym, cfg.nu, cfg.eps, cfg.dt,
-                      nonlinear=cfg.nonlinear)
+    stepper = Stepper(lattice, sym, cfg.nu, cfg.eps, cfg.dt)
     n_steps = int(round(cfg.t_end / cfg.dt))
     # snapshot initial conditions resume from their stored time tag
     state = TrajectoryState(u=u0, t=u0.t, step_index=0)
     records: list[DiagnosticsRecord] = []
 
     def sample(st):
-        rec = make_record(st.u, cfg.nu, cfg.eps, sym)
+        # a copy: its cached mag2 must not ride on into the next step
+        st = replace(st)
+        rec = make_record(st, cfg.nu, cfg.eps, sym)
         records.append(rec)
         for sink in sinks:
             sink(st, rec)

@@ -7,9 +7,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import DefectSplitSink, shell_spectrum
+from .diagnostics import DefectSplitSink
 from .dynamics import NumericalError, nonlinear_term, run
-from .lattice import SobolevIndex, SpectralVelocity, sobolev_norm
+from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
+                      sobolev_norm)
 from .symbols import (MultiplierSymbol, apply_multiplier, classify,
                       kernel_symbol, power_symbol)
 
@@ -127,14 +128,19 @@ class StateRecorder:
         self.states.append(state.u.copy())
 
 
-def spectral_tail_fraction(u: SpectralVelocity) -> float:
-    """Energy fraction in the top third of resolved shells."""
-    radii, e = shell_spectrum(u)
-    total = float(np.sum(e))
+def spectral_tail_fraction(spectrum: np.ndarray,
+                           lattice: WavenumberLattice) -> float:
+    """Energy fraction in the top third of resolved shells.
+
+    ``spectrum`` is E(k_s) per integer shell on ``lattice``, as in a
+    record's ``shell_spectrum``.
+    """
+    total = float(np.sum(spectrum))
     if total == 0:
         return 0.0
-    cut = 2.0 * u.lattice.dealias_limit / 3.0
-    return float(np.sum(e[radii > cut]) / total)
+    radii = np.arange(spectrum.size, dtype=float)
+    cut = 2.0 * lattice.dealias_limit / 3.0
+    return float(np.sum(spectrum[radii > cut]) / total)
 
 
 def sweep_eps_values(eps_list) -> list:
@@ -161,7 +167,7 @@ def sweep_eps_inputs(base_cfg: SimConfig, eps_list, s: float, T: float):
 
 def _check_resolved(state, record) -> None:
     """Run sink: NumericalError at the first under-resolved sample."""
-    tail = spectral_tail_fraction(state.u)
+    tail = spectral_tail_fraction(record.shell_spectrum, state.u.lattice)
     if tail > TAIL_FRACTION_LIMIT:
         raise NumericalError(
             f"reference run loses resolution at t={state.t:.4f}: "

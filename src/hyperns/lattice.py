@@ -236,6 +236,14 @@ class SpectralVelocity:
     def energy(self) -> float:
         return 0.5 * self.l2_norm() ** 2
 
+    def mag2(self) -> np.ndarray:
+        """Sum over components of |u_hat|^2 per mode, shape (n, ..., n).
+
+        The one per-mode reduction the energy, spectrum, defect, Sobolev and
+        divergence sums are taken over; computed anew on every call.
+        """
+        return np.sum(np.abs(self.coeffs) ** 2, axis=0)
+
     def divergence_max(self) -> float:
         """Relative divergence ||k.u_hat||_2 / || |k| u_hat ||_2.
 
@@ -245,7 +253,7 @@ class SpectralVelocity:
         """
         lat = self.lattice
         num = np.sum(np.abs(np.sum(lat.k * self.coeffs, axis=0)) ** 2)
-        den = np.sum(lat.k_sq * np.sum(np.abs(self.coeffs) ** 2, axis=0))
+        den = np.sum(lat.k_sq * self.mag2())
         if den == 0:
             return 0.0
         return float(np.sqrt(num / den))
@@ -296,7 +304,7 @@ def sobolev_norm(u: SpectralVelocity, index: SobolevIndex) -> float:
     inhomogeneous: same with weight (1+|k|^2)^s.
     """
     lat = u.lattice
-    mag2 = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    mag2 = u.mag2()
     if index.variant == "homogeneous":
         w = np.zeros(lat.grid_shape)
         nz = lat.k_sq > 0

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, artifacts, exit-code contract."""
 import functools
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -149,6 +151,19 @@ class TestRunCommand:
         assert key in assert_one_error_line(capsys, "config")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k_c", ["1e-200", "1e-160"])
+    def test_degenerate_random_field_exit_code(self, tmp_path, capsys, k_c):
+        # k_c > 0 passes the config check, but the spectrum underflows to 0
+        text = CONFIG.replace("n = 32", "n = 16") + f"k_c = {k_c}\n"
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 3
+        assert "degenerate" in assert_one_error_line(capsys, "numerical")
+        manifest = failed_manifest(out, "NumericalError")
+        assert manifest["files"] == []
+        assert manifest["failure"]["step_index"] is None
+
 
 def read_columns(path):
     header, *rows = path.read_text().splitlines()
@@ -215,6 +230,21 @@ class TestResumedRun:
         assert "lattice" in assert_one_error_line(capsys, "io")
         manifest = failed_manifest(out, "SnapshotError")
         assert manifest["files"] == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snapshot_exit_code(self, tmp_path, capsys, value):
+        u = random_field(WavenumberLattice(16, 2), 5, 2.0, 3.0, 0.5)
+        snap = tmp_path / "start.hypf"
+        write_snapshot(u, snap)
+        blob = bytearray(snap.read_bytes())
+        struct.pack_into("<d", blob, len(blob) - 16, value)
+        snap.write_bytes(bytes(blob))
+        cfg = self.resume_config(tmp_path, snap, dim=2)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 4
+        assert "non-finite" in assert_one_error_line(capsys, "io")
+        assert failed_manifest(out, "SnapshotError")["files"] == []
 
 
 class TestEnergyAudit:

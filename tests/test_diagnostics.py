@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import bandlimited_field, stream_function_field
+from hyperns import experiments
+from hyperns.cli import main
 from hyperns.config import SimConfig
 from hyperns.diagnostics import (DefectSplitSink, crossover_frequency,
                                  defect_split, energy_budget,
@@ -60,18 +62,19 @@ class TestEnergyBudget:
         u.coeffs *= 0.5 / u.l2_norm()
         stp = Stepper(lat, sym, nu, eps, dt, nonlinear=False)
         st = TrajectoryState(u=u, t=0.0, step_index=0)
-        records = [make_record(st.u, nu, eps, sym)]
+        records = [make_record(st, nu, eps, sym)]
         for i in range(n_steps):
             st = stp.step(st)
             if (i + 1) % sample_every == 0:
-                records.append(make_record(st.u, nu, eps, sym))
+                records.append(make_record(st, nu, eps, sym))
         return records
 
     def test_zero_field(self):
         lat = WavenumberLattice(16, 2)
         sym = power_symbol(lat, 1.0, 1.25)
         z = SpectralVelocity(lat, np.zeros((2,) + lat.grid_shape, dtype=complex))
-        records = [make_record(z, 1.0, 1.0, sym) for _ in range(3)]
+        records = [make_record(TrajectoryState(u=z, t=0.0, step_index=0),
+                               1.0, 1.0, sym) for _ in range(3)]
         for i, r in enumerate(records):
             r.t = float(i)
         assert np.max(energy_budget(records)) == 0.0
@@ -197,6 +200,72 @@ class TestDefectSplit:
         for eta in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError, match="eta"):
                 defect_split(times, states, sym, 0.1, 0.01, eta)
+
+
+class TestOnePassPerSample:
+    """Per sampled state, |u_hat|^2 is summed over components once."""
+
+    CFG = dict(nu=1e-2, eps=1e-3, symbol="power", alpha=1.25, n=32, dim=2,
+               dt=1e-3, t_end=3e-3, ic="random", k_c=1.5, amplitude=0.5,
+               seed=2, output_every=1)
+    SAMPLES = 1 + 3
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Times of the fields SpectralVelocity.mag2 ran on, in call order;
+        every step asserts that its input state carries no cached mag2."""
+        times = []
+        mag2, step = SpectralVelocity.mag2, Stepper.step
+
+        def counted(u):
+            times.append(u.t)
+            return mag2(u)
+
+        def checked(self, state):
+            assert "mag2" not in vars(state)
+            return step(self, state)
+
+        monkeypatch.setattr(SpectralVelocity, "mag2", counted)
+        monkeypatch.setattr(Stepper, "step", checked)
+        return times
+
+    @pytest.fixture
+    def per_run(self, monkeypatch, calls):
+        """(eps, mag2 calls, samples) of each run a study makes."""
+        runs, plain = [], experiments.run
+
+        def counted(cfg, *args, **kwargs):
+            before = len(calls)
+            out = plain(cfg, *args, **kwargs)
+            runs.append((cfg.eps, len(calls) - before, len(out[1])))
+            return out
+
+        monkeypatch.setattr(experiments, "run", counted)
+        return runs
+
+    def test_run_with_defect_split(self, tmp_path, calls):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in self.CFG.items()))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        run_dir, = (tmp_path / "out").iterdir()
+        assert (run_dir / "defect.csv").is_file()
+        assert calls == pytest.approx([i * 1e-3 for i in range(self.SAMPLES)],
+                                      abs=1e-15)
+
+    def test_alpha_comparison_with_defect_split(self, per_run):
+        res = experiments.alpha_comparison(SimConfig(**self.CFG),
+                                           [1.25, 1.5], 1e-3)
+        assert all(d is not None for d in res.outcomes["defect"])
+        assert per_run == [(1e-3, self.SAMPLES, self.SAMPLES)] * 2
+
+    def test_sweep_reference_run(self, per_run):
+        eps = [1e-2, 3e-3, 1e-3, 1e-4]
+        experiments.vanishing_eps_sweep(SimConfig(**self.CFG), eps, s=3.0,
+                                        T=3e-3)
+        assert per_run[0] == (0.0, self.SAMPLES, self.SAMPLES)
+        # an eps run adds the Sobolev norm of its distance to the reference
+        assert per_run[1:] == [(e, 2 * self.SAMPLES, self.SAMPLES)
+                               for e in sorted(eps)]
 
 
 class TestLinearCurves:

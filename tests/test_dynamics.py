@@ -23,8 +23,7 @@ def base_config(**kw):
 
 def make_stepper(cfg, sym=None):
     lat = cfg.build_lattice()
-    return Stepper(lat, sym or cfg.build_symbol(lat), cfg.nu, cfg.eps, cfg.dt,
-                   nonlinear=cfg.nonlinear)
+    return Stepper(lat, sym or cfg.build_symbol(lat), cfg.nu, cfg.eps, cfg.dt)
 
 
 class TestNonlinearTerm:
@@ -99,12 +98,12 @@ class TestLinearPropagator:
 
 class TestStep:
     def test_linear_step_is_exact(self):
-        cfg = base_config(nonlinear=False, nu=0.5, eps=0.1, dt=0.05)
+        cfg = base_config(nu=0.5, eps=0.1, dt=0.05)
         lat = cfg.build_lattice()
         sym = cfg.build_symbol(lat)
         u0 = stream_function_field(lat, 2)
-        st = make_stepper(cfg, sym).step(
-            TrajectoryState(u=u0.copy(), t=0.0, step_index=0))
+        stepper = Stepper(lat, sym, cfg.nu, cfg.eps, cfg.dt, nonlinear=False)
+        st = stepper.step(TrajectoryState(u=u0.copy(), t=0.0, step_index=0))
         expect = u0.coeffs * linear_propagator(sym, cfg.nu, cfg.eps, cfg.dt)
         occ = np.abs(expect) > 0
         err = np.max(np.abs(st.u.coeffs[occ] - expect[occ]) / np.abs(expect[occ]))

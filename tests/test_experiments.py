@@ -10,6 +10,7 @@ import pytest
 from conftest import bandlimited_field
 from hyperns import experiments
 from hyperns.config import ConfigError, SimConfig
+from hyperns.diagnostics import shell_spectrum
 from hyperns.dynamics import NumericalError, run, taylor_green
 from hyperns.experiments import (StateRecorder, alpha_comparison, dilate,
                                  dilation_norm_exponent,
@@ -292,7 +293,7 @@ class TestTailFraction:
     def test_bandlimited_field_has_no_tail(self):
         lat = WavenumberLattice(64, 2)
         u = bandlimited_field(lat, 1, 5)
-        assert spectral_tail_fraction(u) == 0.0
+        assert spectral_tail_fraction(shell_spectrum(u)[1], lat) == 0.0
 
     def test_high_mode_registers(self):
         lat = WavenumberLattice(32, 2)
@@ -300,4 +301,5 @@ class TestTailFraction:
         c[1, 9, 0] = 1.0
         c[1, -9, 0] = 1.0
         u = SpectralVelocity(lat, c)
-        assert spectral_tail_fraction(u) == pytest.approx(1.0)
+        assert spectral_tail_fraction(shell_spectrum(u)[1],
+                                      lat) == pytest.approx(1.0)

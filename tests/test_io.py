@@ -1,12 +1,17 @@
 """Config grammar, canonicalization/hashing, snapshot persistence."""
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bandlimited_field
 from hyperns.config import (ConfigError, SimConfig, canonical_text,
                             config_hash, parse_config)
 from hyperns.dynamics import run, taylor_green
-from hyperns.lattice import WavenumberLattice
+from hyperns.lattice import DIV_TOL, WavenumberLattice
 from hyperns.snapshot import SnapshotError, read_snapshot, write_snapshot
 
 MINIMAL = """\
@@ -74,6 +79,11 @@ class TestParseConfig:
             "ic = taylor-green-2d", f"ic = {ic}")
         with pytest.raises(ConfigError, match="needs dim"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key", ["s", "nonlinear"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(MINIMAL + f"{key} = 3\n")
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\n" + MINIMAL + "\n# trailer\n"
@@ -197,3 +207,65 @@ class TestSnapshot:
         assert back.lattice is run_lat
         with pytest.raises(SnapshotError, match="does not match"):
             read_snapshot(path, WavenumberLattice(16, 2, box_length=1.0))
+
+    def test_header_not_utf8(self, tmp_path):
+        path = tmp_path / "field.hypf"
+        write_snapshot(bandlimited_field(WavenumberLattice(16, 2), 8, 5), path)
+        path.write_bytes(path.read_bytes().replace(b"dim=2", b"dim=\xff"))
+        with pytest.raises(SnapshotError, match="UTF-8"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payload(self, tmp_path, value):
+        path = tmp_path / "field.hypf"
+        write_snapshot(bandlimited_field(WavenumberLattice(16, 2), 9, 5), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, len(blob) - 8, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="non-finite"):
+            read_snapshot(path)
+
+
+@pytest.fixture(scope="module")
+def snapshot_file(tmp_path_factory):
+    """(path, bytes, payload offset) of a small valid 2-D n=8 snapshot."""
+    path = tmp_path_factory.mktemp("fuzz") / "field.hypf"
+    u = bandlimited_field(WavenumberLattice(8, 2), 10, 2)
+    u.t = 0.25
+    write_snapshot(u, path, nu=0.1, eps=1e-3, symbol_spec="power")
+    blob = path.read_bytes()
+    return path, blob, 12 + struct.unpack_from("<I", blob, 8)[0]
+
+
+# (in the header?, position, XOR mask): a header byte, or a payload byte
+FLIPS = st.lists(st.tuples(st.booleans(), st.integers(0, 1 << 16),
+                           st.integers(1, 255)), max_size=3)
+# (8-byte float slot of the payload, value written there)
+PATCHES = st.lists(st.tuples(st.integers(0, 1 << 16),
+                             st.sampled_from([math.nan, math.inf, -math.inf])),
+                   max_size=2)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(flips=FLIPS, patches=PATCHES, cut=st.one_of(st.none(),
+                                                   st.integers(0, 1 << 16)))
+def test_mutated_snapshot_raises_only_snapshot_error(snapshot_file, flips,
+                                                     patches, cut):
+    path, blob, start = snapshot_file
+    data = bytearray(blob)
+    for slot, value in patches:
+        struct.pack_into("<d", data, start + 8 * (slot % ((len(data) - start)
+                                                          // 8)), value)
+    for in_header, pos, mask in flips:
+        data[pos % start if in_header
+             else start + pos % (len(data) - start)] ^= mask
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    path.write_bytes(bytes(data))
+    try:
+        u, _ = read_snapshot(path)
+    except SnapshotError:
+        return
+    assert np.all(np.isfinite(u.coeffs)) and math.isfinite(u.t)
+    assert u.hermitian_defect() <= 1e-12
+    assert u.divergence_max() <= DIV_TOL
