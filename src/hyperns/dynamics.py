@@ -8,7 +8,6 @@ the new state in the full layout.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -18,7 +17,7 @@ import numpy as np
 from .config import SimConfig
 from .diagnostics import DiagnosticsRecord, attach_budget_residuals, make_record
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
-                      dealias, leray_project, sobolev_norm)
+                      _sobolev_norm, dealias, leray_project)
 from .symbols import MultiplierSymbol
 
 CFL_LIMIT = 1.5
@@ -87,36 +86,6 @@ def _half_nonlinear(lat: WavenumberLattice, h: np.ndarray):
     return d, phys
 
 
-def _negated_blocks(dim: int):
-    """(destination, source) index pairs with a[dst] = a(-kappa)[src] on
-    the first ``dim`` grid axes: index 0 maps to itself, 1..n-1 to n-1..1."""
-    parts = ((slice(0, 1), slice(0, 1)),
-             (slice(1, None), slice(None, 0, -1)))
-    for combo in itertools.product(parts, repeat=dim):
-        yield ((slice(None),) + tuple(c[0] for c in combo),
-               (slice(None),) + tuple(c[1] for c in combo))
-
-
-def _full_layout(lat: WavenumberLattice, h: np.ndarray) -> np.ndarray:
-    """Full-layout coefficients of half-layout ones, Hermitian by
-    construction: the kappa_last = 0 plane, which holds both kappa and
-    -kappa, is symmetrized, and the omitted half is filled by conjugation
-    u_hat(-kappa) = conj(u_hat(kappa))."""
-    m = lat.half_modes
-    out = np.empty((lat.dim,) + lat.grid_shape, dtype=np.complex128)
-    out[..., :m] = h
-    plane = out[..., 0]
-    neg = np.empty_like(plane)
-    # full modes n/2+1..n-1 of the last axis are the negatives of 1..n/2-1
-    tail, src = out[..., m:], h[..., m - 2:0:-1]
-    for dst, s in _negated_blocks(lat.dim - 1):
-        neg[dst] = plane[s]
-        np.conjugate(src[s], out=tail[dst])
-    plane += np.conj(neg)
-    plane *= 0.5
-    return out
-
-
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     """B(u) = dealias(P(div(u tensor u))), computed pseudospectrally.
 
@@ -126,9 +95,9 @@ def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     stepper runs.
     """
     lat = u.lattice
-    d, _ = _half_nonlinear(lat, u.coeffs[..., :lat.half_modes])
+    d, _ = _half_nonlinear(lat, lat.half(u.coeffs))
     d *= 1j
-    return SpectralVelocity(lat, _full_layout(lat, d), u.t)
+    return SpectralVelocity(lat, lat.full_layout(d), u.t)
 
 
 def _decay(k_sq: np.ndarray, m: np.ndarray, nu: float, eps: float,
@@ -155,7 +124,7 @@ class Stepper:
         self.eps = eps
         self.dt = dt
         self.nonlinear = nonlinear
-        m = sym.m[..., :lattice.half_modes]
+        m = lattice.half(sym.m)
         self.e_half = _decay(lattice.half_k_sq, m, nu, eps, dt / 2.0)
         self.e_full = _decay(lattice.half_k_sq, m, nu, eps, dt)
         self.k_max = lattice.k_unit * lattice.dealias_limit
@@ -176,7 +145,7 @@ class Stepper:
     def step(self, state: TrajectoryState) -> TrajectoryState:
         dt = self.dt
         lat = self.lattice
-        c0 = state.u.coeffs[..., :lat.half_modes]
+        c0 = lat.half(state.u.coeffs)
         e1, e2 = self.e_half, self.e_full
         n1, phys = self._rhs(c0)
         cfl = 0.0
@@ -194,7 +163,7 @@ class Stepper:
                                  state=state)
         # guard against roundoff drift of the analytic invariants
         t1 = state.t + dt
-        u1 = leray_project(SpectralVelocity(lat, _full_layout(lat, c1), t1))
+        u1 = leray_project(SpectralVelocity(lat, lat.full_layout(c1), t1))
         return TrajectoryState(u=u1, t=t1, step_index=state.step_index + 1,
                                cfl_estimate=cfl)
 
@@ -334,7 +303,7 @@ def smallness_probe(cfg: SimConfig, s: float) -> SmallnessReport:
     norms = []
 
     def sink(state, rec):
-        norms.append(sobolev_norm(state.u, idx))
+        norms.append(_sobolev_norm(state.u.lattice, state.mag2, idx))
 
     run(cfg, sinks=(sink,))
     h0 = norms[0]

@@ -15,12 +15,13 @@ coefficients of shape (dim, n, ..., n) in ``numpy.fft.fftn`` order.  The
 time stepper works internally in the ``rfftn`` half layout, which keeps
 only the modes 0 <= kappa_last <= n/2 of the last axis (n/2 + 1 entries,
 ``numpy.fft.rfftfreq`` order); the other half follows from Hermitian
-symmetry u_hat(-kappa) = conj(u_hat(kappa)).  The lattice holds the
-wavevector, projection and dealiasing arrays of that layout (``half_*``),
-sliced from the full ones.
+symmetry u_hat(-kappa) = conj(u_hat(kappa)).  Only this module relates the
+layouts (:func:`negate_kappa`, ``half``, ``full_layout``, ``pinned_modes``);
+the lattice also holds the half layout's arrays (``half_*``).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,11 +31,14 @@ DIV_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 
 
-def _reflect(a: np.ndarray, dim: int) -> np.ndarray:
-    """Index negation kappa -> -kappa on the last `dim` axes."""
-    out = a
-    for ax in range(-dim, 0):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+def negate_kappa(a: np.ndarray, dim: int) -> np.ndarray:
+    """a(-kappa) on the last ``dim`` >= 1 axes (fftfreq order), in one copy:
+    index 0 maps to itself, 1..n-1 to n-1..1.  Leading axes ride along."""
+    out = np.empty_like(a)
+    parts = ((slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1)))
+    for combo in itertools.product(parts, repeat=dim):
+        dst, src = zip(*combo)
+        out[(...,) + dst] = a[(...,) + src]
     return out
 
 
@@ -103,8 +107,13 @@ class WavenumberLattice:
         return np.all(np.abs(self.kappa) <= lim, axis=0)
 
     @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        return np.any(self.kappa == -self.n_per_dim // 2, axis=0)
+    def pinned_modes(self) -> dict:
+        """Name -> grid index of the modes velocity fields hold at zero:
+        the mean mode and each Nyquist row kappa_i = -n/2."""
+        rows = {f"Nyquist row kappa_{ax + 1} = -n/2":
+                (slice(None),) * ax + (self.n_per_dim // 2,)
+                for ax in range(self.dim)}
+        return {"mean mode": (0,) * self.dim, **rows}
 
     @cached_property
     def shell_index(self) -> np.ndarray:
@@ -119,16 +128,36 @@ class WavenumberLattice:
         """Entries n/2 + 1 of the last axis in the half layout."""
         return self.n_per_dim // 2 + 1
 
-    def _half(self, a: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(a[..., :self.half_modes])
+    def half(self, a: np.ndarray) -> np.ndarray:
+        """The half-layout view of a full-layout array (any leading axes)."""
+        return a[..., :self.half_modes]
+
+    def full_layout(self, h: np.ndarray) -> np.ndarray:
+        """Full-layout coefficients of half-layout ones: the kappa_last = 0
+        plane, which holds both kappa and -kappa, is symmetrized, and the
+        omitted half is filled by conjugation u_hat(-kappa) = conj(u_hat(kappa)).
+        Hermitian by construction when the pinned kappa_last = n/2 plane is
+        zero, as it is in velocity fields and their dealiased products."""
+        m = self.half_modes
+        out = np.empty((self.dim,) + self.grid_shape, dtype=np.complex128)
+        out[..., :m] = h
+        plane = out[..., 0]
+        plane += np.conj(negate_kappa(plane, self.dim - 1))
+        plane *= 0.5
+        # full modes n/2+1..n-1 of the last axis are the negatives of
+        # 1..n/2-1; that axis moves in front of the ones negated
+        pos = np.moveaxis(h[..., m - 2:0:-1], -1, 0)
+        np.conjugate(negate_kappa(pos, self.dim - 1),
+                     out=np.moveaxis(out[..., m:], -1, 0))
+        return out
 
     @cached_property
     def half_k(self) -> np.ndarray:
-        return self._half(self.k)
+        return np.ascontiguousarray(self.half(self.k))
 
     @cached_property
     def half_k_sq(self) -> np.ndarray:
-        return self._half(self.k_sq)
+        return np.ascontiguousarray(self.half(self.k_sq))
 
     @cached_property
     def half_leray(self) -> np.ndarray:
@@ -140,7 +169,7 @@ class WavenumberLattice:
     @cached_property
     def half_dealias_k(self) -> np.ndarray:
         """k on the kept modes of the two-thirds rule, zero elsewhere."""
-        return self.half_k * self._half(self.dealias_mask)
+        return self.half_k * self.half(self.dealias_mask)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -186,7 +215,7 @@ def hermitian_defect(coeffs: np.ndarray, dim: int) -> float:
     scale = np.max(np.abs(coeffs))
     if scale == 0:
         return 0.0
-    d = np.max(np.abs(coeffs - np.conj(_reflect(coeffs, dim))))
+    d = np.max(np.abs(coeffs - np.conj(negate_kappa(coeffs, dim))))
     return float(d / scale)
 
 
@@ -213,12 +242,13 @@ class SpectralVelocity:
                 f"coefficient shape {c.shape} does not match lattice {expected}")
         if c is self.coeffs:
             c = c.copy()
-        c[(slice(None),) + (0,) * lat.dim] = 0.0
-        c[:, lat.nyquist_mask] = 0.0
+        for idx in lat.pinned_modes.values():
+            c[(slice(None),) + idx] = 0.0
         self.coeffs = c
 
     def copy(self) -> "SpectralVelocity":
-        return SpectralVelocity(self.lattice, self.coeffs.copy(), self.t)
+        # construction copies the array it is given
+        return SpectralVelocity(self.lattice, self.coeffs, self.t)
 
     def to_physical(self) -> np.ndarray:
         return self.lattice.inverse(self.coeffs)
@@ -303,8 +333,12 @@ def sobolev_norm(u: SpectralVelocity, index: SobolevIndex) -> float:
     homogeneous:   (sum_k |k|^{2s} |u_hat|^2 L^dim)^{1/2}, k=0 skipped;
     inhomogeneous: same with weight (1+|k|^2)^s.
     """
-    lat = u.lattice
-    mag2 = u.mag2()
+    return _sobolev_norm(u.lattice, u.mag2(), index)
+
+
+def _sobolev_norm(lat: WavenumberLattice, mag2: np.ndarray,
+                  index: SobolevIndex) -> float:
+    """:func:`sobolev_norm` of a field given its per-mode |u_hat|^2."""
     if index.variant == "homogeneous":
         w = np.zeros(lat.grid_shape)
         nz = lat.k_sq > 0

@@ -102,6 +102,11 @@ def read_snapshot(path, lattice: WavenumberLattice | None = None):
     coeffs = np.frombuffer(payload, dtype="<c16").reshape((dim,) + (n,) * dim)
     if not np.all(np.isfinite(coeffs)):
         raise SnapshotError(f"{path}: non-finite (NaN/Inf) coefficients")
+    # checked on the raw payload: construction would zero these modes
+    for name, idx in lattice.pinned_modes.items():
+        if np.any(coeffs[(slice(None),) + idx] != 0):
+            raise SnapshotError(
+                f"{path}: pinned mode is non-zero ({name} must be zero)")
     u = SpectralVelocity(lattice, coeffs, t)
     # finite coefficients near the float64 limit can still overflow the
     # sums below; an overflowed or NaN ratio fails its check

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import SpectralVelocity, WavenumberLattice, _reflect
+from .lattice import SpectralVelocity, WavenumberLattice, negate_kappa
 
 NEGATIVITY_TOL = 1e-12
 
@@ -36,7 +36,7 @@ class MultiplierSymbol:
         if np.min(self.m) < -NEGATIVITY_TOL:
             raise ValueError(
                 f"negative dissipative part: min m = {np.min(self.m):.3e}")
-        defect = np.max(np.abs(self.m - _reflect(self.m, self.lattice.dim)))
+        defect = np.max(np.abs(self.m - negate_kappa(self.m, self.lattice.dim)))
         scale = max(np.max(np.abs(self.m)), 1.0)
         if defect > 1e-10 * scale:
             raise ValueError("dissipative part is not even in k")
@@ -102,7 +102,7 @@ def first_order_symbol(lattice: WavenumberLattice, b_hat: np.ndarray,
         raise ValueError("b_hat must be real")
     b_hat = b_hat.real.astype(np.float64)
     scale = max(np.max(np.abs(b_hat)), 1.0)
-    if np.max(np.abs(b_hat - _reflect(b_hat, lattice.dim))) > 1e-12 * scale:
+    if np.max(np.abs(b_hat - negate_kappa(b_hat, lattice.dim))) > 1e-12 * scale:
         raise ValueError("b_hat must be even: b_hat(-k) = b_hat(k)")
     if not 0 <= direction < lattice.dim:
         raise ValueError(f"direction {direction} out of range")

@@ -3,8 +3,8 @@ brute-force nonlinear-term oracle (direct summation, no FFT)."""
 import numpy as np
 
 from hyperns.dynamics import random_field
-from hyperns.lattice import (SpectralVelocity, WavenumberLattice, _reflect,
-                             dealias, leray_project)
+from hyperns.lattice import (SpectralVelocity, WavenumberLattice, dealias,
+                             leray_project, negate_kappa)
 
 
 def stream_function_field(lattice, seed):
@@ -13,7 +13,7 @@ def stream_function_field(lattice, seed):
     assert lattice.dim == 2
     rng = np.random.default_rng(seed)
     psi = lattice.forward(rng.standard_normal(lattice.grid_shape))
-    psi = 0.5 * (psi + np.conj(_reflect(psi, lattice.dim)))
+    psi = 0.5 * (psi + np.conj(negate_kappa(psi, lattice.dim)))
     coeffs = np.stack([1j * lattice.k[1] * psi, -1j * lattice.k[0] * psi])
     return dealias(SpectralVelocity(lattice, coeffs))
 

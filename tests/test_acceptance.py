@@ -271,12 +271,16 @@ class TestCriterion9:
 
 
 class TestCriterion10:
-    def test_determinism_and_round_trip(self, tmp_path):
-        cfg_text = ("nu = 1e-2\neps = 1e-3\nsymbol = power\nalpha = 1.25\n"
-                    "mu = 1\nn = 32\ndim = 2\ndt = 5e-3\nt_end = 0.1\n"
-                    "ic = random\namplitude = 0.5\nseed = 9\noutput_every = 2\n")
+    """Two runs give byte-identical diagnostics, and the final snapshot
+    survives a read/write round trip exactly; in 2-D and in 3-D."""
+
+    CFG = ("nu = 1e-2\neps = 1e-3\nsymbol = power\nalpha = 1.25\n"
+           "mu = 1\nn = {n}\ndim = {dim}\ndt = 5e-3\nt_end = 0.1\n"
+           "ic = random\namplitude = 0.5\nseed = 9\noutput_every = 2\n")
+
+    def check(self, tmp_path, n, dim):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(cfg_text)
+        cfg_path.write_text(self.CFG.format(n=n, dim=dim))
         blobs = []
         for tag in ("a", "b"):
             out = tmp_path / tag
@@ -294,7 +298,13 @@ class TestCriterion10:
         round_trip = np.array_equal(u.coeffs, v.coeffs) and u.t == v.t
 
         ok = identical and round_trip
-        report(10, "determinism and snapshots", ok,
+        report(10, f"determinism and snapshots, {dim}-D n={n}", ok,
                f"diagnostics bit-identical: {identical}, "
                f"snapshot round trip exact: {round_trip}")
         assert ok
+
+    def test_determinism_and_round_trip(self, tmp_path):
+        self.check(tmp_path, 32, 2)
+
+    def test_determinism_and_round_trip_3d(self, tmp_path):
+        self.check(tmp_path, 16, 3)

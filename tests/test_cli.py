@@ -246,6 +246,20 @@ class TestResumedRun:
         assert "non-finite" in assert_one_error_line(capsys, "io")
         assert failed_manifest(out, "SnapshotError")["files"] == []
 
+    def test_non_zero_mean_mode_snapshot_exit_code(self, tmp_path, capsys):
+        u = random_field(WavenumberLattice(16, 2), 5, 2.0, 3.0, 0.5)
+        snap = tmp_path / "start.hypf"
+        write_snapshot(u, snap)
+        blob = bytearray(snap.read_bytes())
+        # the real part of component 1's mean mode
+        struct.pack_into("<d", blob, len(blob) - 16 * 16 * 16, 0.7)
+        snap.write_bytes(bytes(blob))
+        cfg = self.resume_config(tmp_path, snap, dim=2)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 4
+        assert "mean mode" in assert_one_error_line(capsys, "io")
+        assert failed_manifest(out, "SnapshotError")["files"] == []
+
 
 class TestEnergyAudit:
     def test_audit_passes_on_finished_run(self, tmp_path, capsys):

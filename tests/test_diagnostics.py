@@ -13,9 +13,11 @@ from hyperns.diagnostics import (DefectSplitSink, crossover_frequency,
                                  defect_split, energy_budget,
                                  linear_damping_curve, make_record,
                                  mode_decay_curve, shell_spectrum)
-from hyperns.dynamics import Stepper, TrajectoryState, run
+from hyperns.dynamics import (Stepper, TrajectoryState, initial_condition,
+                              run, smallness_probe)
 from hyperns.experiments import StateRecorder
-from hyperns.lattice import SpectralVelocity, WavenumberLattice
+from hyperns.lattice import (SobolevIndex, SpectralVelocity,
+                             WavenumberLattice, sobolev_norm)
 from hyperns.symbols import power_symbol
 
 
@@ -266,6 +268,16 @@ class TestOnePassPerSample:
         # an eps run adds the Sobolev norm of its distance to the reference
         assert per_run[1:] == [(e, 2 * self.SAMPLES, self.SAMPLES)
                                for e in sorted(eps)]
+
+    def test_smallness_probe(self, calls):
+        cfg = SimConfig(**self.CFG)
+        report = smallness_probe(cfg, 3.0)
+        assert calls == pytest.approx([i * 1e-3 for i in range(self.SAMPLES)],
+                                      abs=1e-15)
+        # the sink sums the sample's |u_hat|^2 as sobolev_norm does
+        u0 = initial_condition(cfg, cfg.build_lattice())
+        assert report.h_s_initial == sobolev_norm(
+            u0, SobolevIndex(3.0, "inhomogeneous"))
 
 
 class TestLinearCurves:

@@ -225,6 +225,28 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="non-finite"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("name,entries", [
+        # (component, kappa index 1, kappa index 2, value)
+        ("mean mode", [(1, 0, 0, 0.7)]),
+        # a Hermitian pair at kappa = (-8, 3) and (-8, -3)
+        ("Nyquist row kappa_1", [(0, 8, 3, 0.3), (0, 8, 13, 0.3)]),
+        ("Nyquist row kappa_2", [(1, 5, 8, 0.3), (1, 11, 8, 0.3)]),
+    ])
+    def test_non_zero_pinned_mode_refused(self, tmp_path, name, entries):
+        # construction would zero these entries silently: the raw payload
+        # is checked before it
+        n = 16
+        path = tmp_path / "field.hypf"
+        write_snapshot(bandlimited_field(WavenumberLattice(n, 2), 11, 5), path)
+        blob = bytearray(path.read_bytes())
+        start = len(blob) - 16 * 2 * n * n
+        for c, i, j, value in entries:
+            struct.pack_into("<d", blob, start + 16 * ((c * n + i) * n + j),
+                             value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match=f"pinned mode.*{name}"):
+            read_snapshot(path)
+
 
 @pytest.fixture(scope="module")
 def snapshot_file(tmp_path_factory):

@@ -6,9 +6,9 @@ import pytest
 from conftest import bandlimited_field
 from hyperns.dynamics import taylor_green
 from hyperns.lattice import (DIV_TOL, SobolevIndex, SpectralVelocity,
-                             WavenumberLattice, _reflect, build_lattice,
-                             dealias, inner_product, leray_project,
-                             sobolev_norm)
+                             WavenumberLattice, build_lattice, dealias,
+                             hermitian_defect, inner_product, leray_project,
+                             negate_kappa, sobolev_norm)
 
 
 class TestBuildLattice:
@@ -105,7 +105,7 @@ class TestLerayProjection:
         rng = np.random.default_rng(7)
         c = (rng.standard_normal((dim,) + lat.grid_shape)
              + 1j * rng.standard_normal((dim,) + lat.grid_shape))
-        v = SpectralVelocity(lat, 0.5 * (c + np.conj(_reflect(c, dim))))
+        v = SpectralVelocity(lat, 0.5 * (c + np.conj(negate_kappa(c, dim))))
         once = leray_project(v)
         twice = leray_project(once)
         scale = np.max(np.abs(once.coeffs))
@@ -201,6 +201,19 @@ class TestInvariants:
         assert np.all(u.coeffs[:, -4, :] == 0.0)
         assert np.all(u.coeffs[:, :, -4] == 0.0)
 
+    def test_mean_and_nyquist_pinned_3d(self):
+        lat = build_lattice(8, 3)
+        c = np.ones((3,) + lat.grid_shape, dtype=complex)
+        u = SpectralVelocity(lat, c)
+        assert np.all(u.coeffs[:, 0, 0, 0] == 0.0)
+        for row in (u.coeffs[:, -4], u.coeffs[:, :, -4], u.coeffs[:, ..., -4]):
+            assert np.all(row == 0.0)
+        # exactly those: every mode with no kappa_i = -4 outside the mean
+        kept = ~np.any(lat.kappa == -4, axis=0)
+        kept[0, 0, 0] = False
+        assert np.all(u.coeffs[:, kept] == 1.0)
+        assert np.count_nonzero(u.coeffs) == 3 * (7 ** 3 - 1)
+
     @pytest.mark.parametrize("n,dim", [(16, 2), (32, 2), (16, 3)])
     def test_divergence_measure_is_scale_relative(self, n, dim):
         # modes at roundoff level do not count at full weight
@@ -226,3 +239,56 @@ class TestInvariants:
         lat = build_lattice(16, 2)
         u = bandlimited_field(lat, 8, 5)
         assert inner_product(u, u) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
+
+
+class TestLayouts:
+    """The kappa -> -kappa map and the half -> full conversion."""
+
+    CASES = [(16, 2), (12, 2), (8, 3), (6, 3)]
+
+    @staticmethod
+    def brute_negate(a, dim, n):
+        idx = (-np.arange(n)) % n
+        for ax in range(-dim, 0):
+            a = np.take(a, idx, axis=ax)
+        return a
+
+    @pytest.mark.parametrize("n,dim", CASES)
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_negate_kappa_matches_brute_force_index(self, n, dim, lead, kind):
+        rng = np.random.default_rng(n + dim)
+        shape = (dim,) * lead + (n,) * dim
+        a = rng.standard_normal(shape)
+        if kind is complex:
+            a = a + 1j * rng.standard_normal(shape)
+        out = negate_kappa(a, dim)
+        assert out.dtype == a.dtype and out.shape == a.shape
+        assert np.array_equal(out, self.brute_negate(a, dim, n))
+
+    @pytest.mark.parametrize("n,dim", CASES)
+    def test_full_layout_is_exactly_hermitian(self, n, dim):
+        lat = build_lattice(n, dim)
+        rng = np.random.default_rng(3)
+        shape = (dim,) + lat.half(lat.k_sq).shape
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h[..., n // 2] = 0.0  # the kappa_last Nyquist plane is pinned
+        full = lat.full_layout(h)
+        assert hermitian_defect(full, dim) == 0.0
+        assert np.array_equal(lat.half(full)[..., 1:], h[..., 1:])
+
+    @pytest.mark.parametrize("n,dim", CASES)
+    def test_full_layout_inverts_half_on_hermitian_fields(self, n, dim):
+        lat = build_lattice(n, dim)
+        rng = np.random.default_rng(4)
+        c = (rng.standard_normal((dim,) + lat.grid_shape)
+             + 1j * rng.standard_normal((dim,) + lat.grid_shape))
+        u = SpectralVelocity(lat, 0.5 * (c + np.conj(negate_kappa(c, dim))))
+        full = lat.full_layout(lat.half(u.coeffs))
+        assert np.array_equal(full.view(float), u.coeffs.view(float))
+
+    def test_half_is_a_view(self):
+        lat = build_lattice(8, 3)
+        c = np.zeros((3,) + lat.grid_shape, dtype=complex)
+        assert np.shares_memory(lat.half(c), c)
+        assert lat.half(c).shape == (3, 8, 8, 5)

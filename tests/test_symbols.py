@@ -34,6 +34,14 @@ class TestPowerSymbol:
         sym = power_symbol(lat, 1.3, 1.25)
         assert sym.m[2, 3, 1] == sym.m[-2, -3, -1]
 
+    @pytest.mark.parametrize("n,dim", [(16, 2), (8, 3)])
+    def test_odd_dissipative_part_refused(self, n, dim):
+        # m = |k|^2 + k_1 >= 0 on the integer lattice, but not even in k
+        lat = build_lattice(n, dim)
+        m = lat.k_sq + lat.k[0]
+        with pytest.raises(ValueError, match="not even"):
+            MultiplierSymbol(lat, -m.astype(complex), m, "tabulated")
+
 
 class TestKernelSymbol:
     def test_riesz_equals_power(self):
