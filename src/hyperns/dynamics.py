@@ -68,13 +68,13 @@ def _half_nonlinear(lat: WavenumberLattice, h: np.ndarray):
     product u_i u_j, whose transform enters rows i and j.
     """
     dim = lat.dim
-    axes = tuple(range(-dim, 0))
-    phys = np.fft.irfftn(h, s=lat.grid_shape, axes=axes, norm="forward")
+    # positional arguments: the benchmark's tracer counts points of args[1]
+    phys = lat.inverse(h)
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     prod = np.empty((len(pairs),) + lat.grid_shape)
     for p, (i, j) in enumerate(pairs):
         np.multiply(phys[i], phys[j], out=prod[p])
-    t = np.fft.rfftn(prod, axes=axes, norm="forward")
+    t = lat.forward(prod)
     k = lat.half_dealias_k
     d = np.zeros_like(h)
     for p, (i, j) in enumerate(pairs):
@@ -191,7 +191,7 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((lattice.dim,) + lattice.grid_shape)
-    coeffs = lattice.forward(noise)
+    coeffs = lattice.full_layout(lattice.forward(noise))
     kmag = lattice.k_mag
     profile = np.zeros(lattice.grid_shape)
     nz = kmag > 0

@@ -3,7 +3,8 @@
 Conventions fixed here and used by every other module:
 
 * forward transform: ``u_hat(kappa) = (1/n^dim) * sum_x u(x) exp(-i k.x)``,
-  so a unit-amplitude cosine carries coefficient 1/2 at +/-kappa;
+  so a unit-amplitude cosine carries coefficient 1/2 at +/-kappa; the one
+  transform pair is ``forward``/``inverse`` (``rfftn``/``irfftn``);
 * Parseval: ``||u||_L2^2 = L^dim * sum_k |u_hat(k)|^2``;
 * the mean mode u_hat(0) is pinned to zero;
 * Nyquist rows (kappa_i = -n/2) are zeroed on construction of any
@@ -12,12 +13,13 @@ Conventions fixed here and used by every other module:
 
 Velocity fields, snapshots and every public function use the full layout:
 coefficients of shape (dim, n, ..., n) in ``numpy.fft.fftn`` order.  The
-time stepper works internally in the ``rfftn`` half layout, which keeps
-only the modes 0 <= kappa_last <= n/2 of the last axis (n/2 + 1 entries,
-``numpy.fft.rfftfreq`` order); the other half follows from Hermitian
-symmetry u_hat(-kappa) = conj(u_hat(kappa)).  Only this module relates the
-layouts (:func:`negate_kappa`, ``half``, ``full_layout``, ``pinned_modes``);
-the lattice also holds the half layout's arrays (``half_*``).
+transforms and the time stepper work in the ``rfftn`` half layout, which
+keeps only the modes 0 <= kappa_last <= n/2 of the last axis (n/2 + 1
+entries, ``numpy.fft.rfftfreq`` order); the other half follows from
+Hermitian symmetry u_hat(-kappa) = conj(u_hat(kappa)).  Only this module
+relates the layouts (:func:`negate_kappa`, ``half``, ``full_layout``,
+``pinned_modes``) or calls ``numpy.fft``; it also holds the half layout's
+arrays (``half_*``).
 """
 from __future__ import annotations
 
@@ -93,6 +95,13 @@ class WavenumberLattice:
         return np.sum(self.k ** 2, axis=0)
 
     @cached_property
+    def k_sq_pinned(self) -> np.ndarray:
+        """|k|^2 with the (pinned) mean mode set to 1, a Leray divisor."""
+        ksq = self.k_sq.copy()
+        ksq[(0,) * self.dim] = 1.0
+        return ksq
+
+    @cached_property
     def k_mag(self) -> np.ndarray:
         return np.sqrt(self.k_sq)
 
@@ -133,13 +142,13 @@ class WavenumberLattice:
         return a[..., :self.half_modes]
 
     def full_layout(self, h: np.ndarray) -> np.ndarray:
-        """Full-layout coefficients of half-layout ones: the kappa_last = 0
-        plane, which holds both kappa and -kappa, is symmetrized, and the
-        omitted half is filled by conjugation u_hat(-kappa) = conj(u_hat(kappa)).
-        Hermitian by construction when the pinned kappa_last = n/2 plane is
-        zero, as it is in velocity fields and their dealiased products."""
+        """Full layout of half-layout coefficients (any leading axes): the
+        kappa_last = 0 plane, which holds both kappa and -kappa, is
+        symmetrized, and the omitted half is filled by conjugation
+        u_hat(-kappa) = conj(u_hat(kappa)).  Hermitian by construction when
+        the pinned kappa_last = n/2 plane is zero, as in velocity fields."""
         m = self.half_modes
-        out = np.empty((self.dim,) + self.grid_shape, dtype=np.complex128)
+        out = np.empty(h.shape[:-1] + (self.n_per_dim,), dtype=np.complex128)
         out[..., :m] = h
         plane = out[..., 0]
         plane += np.conj(negate_kappa(plane, self.dim - 1))
@@ -162,9 +171,7 @@ class WavenumberLattice:
     @cached_property
     def half_leray(self) -> np.ndarray:
         """k / |k|^2 in the half layout, zero at the mean mode."""
-        ksq = self.half_k_sq.copy()
-        ksq[(0,) * self.dim] = 1.0
-        return self.half_k / ksq
+        return self.half_k / self.half(self.k_sq_pinned)
 
     @cached_property
     def half_dealias_k(self) -> np.ndarray:
@@ -181,33 +188,21 @@ class WavenumberLattice:
 
     # -- transforms -------------------------------------------------------
 
-    def _grid_axes(self, a: np.ndarray) -> tuple:
-        if a.shape[-self.dim:] != self.grid_shape:
+    def _grid_axes(self, a: np.ndarray, shape: tuple) -> tuple:
+        if a.shape[-self.dim:] != shape:
             raise ValueError(
-                f"array shape {a.shape} does not match lattice grid {self.grid_shape}")
+                f"array shape {a.shape} does not match lattice grid {shape}")
         return tuple(range(-self.dim, 0))
 
     def forward(self, phys: np.ndarray) -> np.ndarray:
-        """Physical field -> spectral coefficients (1/n^dim normalization)."""
-        axes = self._grid_axes(phys)
-        return np.fft.fftn(phys, axes=axes) / self.n_modes
+        """Real field -> half-layout coefficients (1/n^dim normalization)."""
+        axes = self._grid_axes(phys, self.grid_shape)
+        return np.fft.rfftn(phys, axes=axes, norm="forward")
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Spectral coefficients -> real physical field.
-
-        The input must be Hermitian symmetric: an imaginary residue above
-        1e-12 relative signals corrupted state and raises.
-        """
-        axes = self._grid_axes(coeffs)
-        out = np.fft.ifftn(coeffs * self.n_modes, axes=axes)
-        scale = np.max(np.abs(out))
-        if scale > 0:
-            imag = np.max(np.abs(out.imag))
-            if imag > HERMITIAN_TOL * scale:
-                raise ValueError(
-                    f"non-Hermitian spectral input: imaginary residue "
-                    f"{imag / scale:.3e} relative")
-        return out.real
+    def inverse(self, h: np.ndarray) -> np.ndarray:
+        """Half-layout coefficients -> real field (leading axes ride along)."""
+        axes = self._grid_axes(h, self.grid_shape[:-1] + (self.half_modes,))
+        return np.fft.irfftn(h, s=self.grid_shape, axes=axes, norm="forward")
 
 
 def hermitian_defect(coeffs: np.ndarray, dim: int) -> float:
@@ -251,12 +246,17 @@ class SpectralVelocity:
         return SpectralVelocity(self.lattice, self.coeffs, self.t)
 
     def to_physical(self) -> np.ndarray:
-        return self.lattice.inverse(self.coeffs)
+        """The real field; raises on a Hermitian defect above HERMITIAN_TOL."""
+        defect = self.hermitian_defect()
+        if defect > HERMITIAN_TOL:
+            raise ValueError(f"non-Hermitian spectral input: defect "
+                             f"{defect:.3e} relative")
+        return self.lattice.inverse(self.lattice.half(self.coeffs))
 
     @classmethod
     def from_physical(cls, lattice: WavenumberLattice, phys: np.ndarray,
                       t: float = 0.0) -> "SpectralVelocity":
-        return cls(lattice, lattice.forward(phys), t)
+        return cls(lattice, lattice.full_layout(lattice.forward(phys)), t)
 
     def l2_norm(self) -> float:
         lat = self.lattice
@@ -315,10 +315,8 @@ def leray_project(v: SpectralVelocity) -> SpectralVelocity:
     """Project onto divergence-free fields: u_hat -> u_hat - k (k.u_hat)/|k|^2."""
     lat = v.lattice
     k = lat.k
-    ksq = lat.k_sq.copy()
-    ksq[(0,) * lat.dim] = 1.0  # k=0 handled by the mean-mode pin
     kdotu = np.sum(k * v.coeffs, axis=0)
-    out = v.coeffs - k * (kdotu / ksq)
+    out = v.coeffs - k * (kdotu / lat.k_sq_pinned)
     return SpectralVelocity(lat, out, v.t)
 
 

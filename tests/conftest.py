@@ -4,7 +4,7 @@ import numpy as np
 
 from hyperns.dynamics import random_field
 from hyperns.lattice import (SpectralVelocity, WavenumberLattice, dealias,
-                             leray_project, negate_kappa)
+                             leray_project)
 
 
 def stream_function_field(lattice, seed):
@@ -12,8 +12,8 @@ def stream_function_field(lattice, seed):
     in floating point (k1*k2 - k2*k1 = 0 mode by mode)."""
     assert lattice.dim == 2
     rng = np.random.default_rng(seed)
-    psi = lattice.forward(rng.standard_normal(lattice.grid_shape))
-    psi = 0.5 * (psi + np.conj(negate_kappa(psi, lattice.dim)))
+    psi = lattice.full_layout(
+        lattice.forward(rng.standard_normal(lattice.grid_shape)))
     coeffs = np.stack([1j * lattice.k[1] * psi, -1j * lattice.k[0] * psi])
     return dealias(SpectralVelocity(lattice, coeffs))
 

@@ -83,6 +83,15 @@ def test_cfl_runs_once_inside_every_step(traced_run):
             == [spans.STEP_SPAN] * STEPS)
 
 
+def test_step_transforms_run_through_the_lattice(traced_run):
+    # one inverse and one forward transform per IF-RK4 stage
+    tracer, _ = traced_run
+    totals = tracer.totals()
+    for name in spans.FFT_SPANS:
+        assert totals[name]["step_count"] == 4 * STEPS
+        assert totals[name]["step_points"] > 0
+
+
 def test_snapshot_passes_the_benchmark_check(traced_run):
     _, run_dir = traced_run
     assert checks.snapshot_invariants(run_dir / "final.hypf") == []

@@ -1,8 +1,11 @@
 """Spectral substrate: lattice construction, transforms, projection,
 dealiasing, and Sobolev norms."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hyperns
 from conftest import bandlimited_field
 from hyperns.dynamics import taylor_green
 from hyperns.lattice import (DIV_TOL, SobolevIndex, SpectralVelocity,
@@ -63,15 +66,28 @@ class TestTransforms:
 
     def test_inverse_rejects_non_hermitian(self):
         lat = build_lattice(8, 2)
-        c = np.zeros(lat.grid_shape, dtype=complex)
-        c[1, 0] = 1.0  # no conjugate partner
+        c = np.zeros((2,) + lat.grid_shape, dtype=complex)
+        c[0, 1, 0] = 1.0  # no conjugate partner
         with pytest.raises(ValueError, match="[Hh]ermitian"):
-            lat.inverse(c)
+            SpectralVelocity(lat, c).to_physical()
 
     def test_shape_mismatch(self):
         lat = build_lattice(8, 2)
         with pytest.raises(ValueError, match="shape"):
             lat.forward(np.zeros((4, 4)))
+
+    def test_inverse_takes_the_half_layout(self):
+        lat = build_lattice(8, 2)
+        with pytest.raises(ValueError, match="shape"):
+            lat.inverse(np.zeros((8, 8), dtype=complex))
+
+    def test_only_the_lattice_calls_numpy_fft(self):
+        src = Path(hyperns.__file__).parent
+        callers = [p.name for p in sorted(src.glob("*.py"))
+                   if p.name != "lattice.py"
+                   and ("np.fft." in p.read_text()
+                        or "numpy.fft" in p.read_text())]
+        assert callers == []
 
     def test_parseval(self):
         lat = build_lattice(32, 2)
