@@ -167,6 +167,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_eps(args) -> int:
     cfg = _load_config(args.config)
+    # before sweep_eps_inputs builds it too, so that its error names the symbol
+    with _config_input(f"bad symbol {cfg.symbol!r}"):
+        cfg.build_symbol()
     with _config_input("--eps"):
         eps_list = sweep_eps_values(float(v) for v in args.eps.split(","))
     with _config_input("--s/--T"):

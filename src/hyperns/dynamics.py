@@ -114,11 +114,12 @@ def linear_propagator(sym: MultiplierSymbol, nu: float, eps: float,
 
 
 class Stepper:
-    """One-trajectory integrator with precomputed half-layout propagators."""
+    """One-trajectory integrator on its symbol's lattice, with precomputed
+    half-layout propagators."""
 
-    def __init__(self, lattice: WavenumberLattice, sym: MultiplierSymbol,
-                 nu: float, eps: float, dt: float, nonlinear: bool = True):
-        self.lattice = lattice
+    def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
+                 dt: float, nonlinear: bool = True):
+        self.lattice = lattice = sym.lattice
         self.sym = sym
         self.nu = nu
         self.eps = eps
@@ -252,7 +253,7 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None):
         raise ValueError(
             f"symbol lattice {lattice} does not match config lattice")
     u0 = initial_condition(cfg, lattice)
-    stepper = Stepper(lattice, sym, cfg.nu, cfg.eps, cfg.dt)
+    stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt)
     n_steps = int(round(cfg.t_end / cfg.dt))
     # snapshot initial conditions resume from their stored time tag
     state = TrajectoryState(u=u0, t=u0.t, step_index=0)

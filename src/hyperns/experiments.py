@@ -159,10 +159,12 @@ def sweep_eps_inputs(base_cfg: SimConfig, eps_list, s: float, T: float):
     """The checked arguments of a sweep, built before any run.
 
     Returns (the eps values of sweep_eps_values, the config with t_end = T,
-    the inhomogeneous H^{s-1} index); ValueError on a bad argument.
+    the inhomogeneous H^{s-1} index, the config's symbol); ValueError on a
+    bad argument or symbol.
     """
-    return (sweep_eps_values(eps_list), replace(base_cfg, t_end=T),
-            SobolevIndex(s - 1.0, "inhomogeneous"))
+    eps_values, cfg_T = sweep_eps_values(eps_list), replace(base_cfg, t_end=T)
+    return (eps_values, cfg_T, SobolevIndex(s - 1.0, "inhomogeneous"),
+            cfg_T.build_symbol())
 
 
 def _check_resolved(state, record) -> None:
@@ -182,12 +184,13 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
     each eps of sweep_eps_values(eps_list);
     err(eps) = sup over samples of the inhomogeneous H^{s-1} distance.
     NumericalError if the reference's spectral tail fraction exceeds 1e-8,
-    the discrete stand-in for smoothness on [0, T].  ``max_workers`` is
-    accepted and ignored: the runs go one after another in the calling thread.
+    the discrete stand-in for smoothness on [0, T].  All runs share one
+    symbol.  ``max_workers`` is accepted and ignored: the runs go one after
+    another in the calling thread.
     """
-    eps_list, cfg_T, idx = sweep_eps_inputs(base_cfg, eps_list, s, T)
+    eps_list, cfg_T, idx, sym = sweep_eps_inputs(base_cfg, eps_list, s, T)
     ref_rec = StateRecorder()
-    run(replace(cfg_T, eps=0.0), sinks=(_check_resolved, ref_rec))
+    run(replace(cfg_T, eps=0.0), sinks=(_check_resolved, ref_rec), symbol=sym)
 
     def one(eps):
         errs = []
@@ -197,7 +200,7 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
             diff = SpectralVelocity(uref.lattice, state.u.coeffs - uref.coeffs, uref.t)
             errs.append(sobolev_norm(diff, idx))
 
-        run(replace(cfg_T, eps=eps), sinks=(distance,))
+        run(replace(cfg_T, eps=eps), sinks=(distance,), symbol=sym)
         return float(max(errs))
 
     errors = [one(eps) for eps in eps_list]

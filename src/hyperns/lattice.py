@@ -9,7 +9,7 @@ Conventions fixed here and used by every other module:
 * the mean mode u_hat(0) is pinned to zero;
 * Nyquist rows (kappa_i = -n/2) are zeroed on construction of any
   velocity field;
-* dealiasing keeps |kappa_i| <= floor(n/3) (two-thirds rule).
+* dealiasing keeps |kappa_i| < n/3 (Orszag's two-thirds rule).
 
 Velocity fields, snapshots and every public function use the full layout:
 coefficients of shape (dim, n, ..., n) in ``numpy.fft.fftn`` order.  The
@@ -107,8 +107,9 @@ class WavenumberLattice:
 
     @property
     def dealias_limit(self) -> int:
-        """Largest kept |kappa_i| under the two-thirds rule."""
-        return self.n_per_dim // 3
+        """Largest kept |kappa_i| under the two-thirds rule |kappa_i| < n/3:
+        the sum of two kept modes then never aliases into the band."""
+        return (self.n_per_dim - 1) // 3
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -321,7 +322,7 @@ def leray_project(v: SpectralVelocity) -> SpectralVelocity:
 
 
 def dealias(v: SpectralVelocity) -> SpectralVelocity:
-    """Zero all modes with any |kappa_i| > floor(n/3)."""
+    """Zero all modes with any |kappa_i| >= n/3."""
     return SpectralVelocity(v.lattice, v.coeffs * v.lattice.dealias_mask, v.t)
 
 

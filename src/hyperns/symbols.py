@@ -1,8 +1,9 @@
 """Nonlocal dissipation symbols: constructors, classification, application.
 
-A multiplier is stored as the raw symbol ell(k) of the extra linear term
-together with its dissipative part m(k) = Re(-ell(k)) >= 0.  Constructors
-refuse symbols whose dissipative part goes negative.
+A multiplier is stored as the raw symbol ell(k) of the extra linear term.
+:class:`MultiplierSymbol` derives its dissipative part m(k) = Re(-ell(k))
+and is the one place a symbol is refused: a non-finite ell, an m that goes
+negative, or an m that is not even in k.
 """
 from __future__ import annotations
 
@@ -20,26 +21,31 @@ NEGATIVITY_TOL = 1e-12
 class MultiplierSymbol:
     """Fourier multiplier of the extra dissipative term.
 
-    ``ell`` is the raw symbol (the operator acts as ell(k) * u_hat(k));
-    ``m = Re(-ell)`` is the nonnegative dissipative part.  ``kind`` records
-    the constructor ("power", "kernel", "first-order", "tabulated") and
-    ``params`` its arguments.
+    ``ell`` is the raw symbol (the operator acts as ell(k) * u_hat(k)), kept
+    as the constructor built it; ``m = max(Re(-ell), 0)`` is the
+    nonnegative dissipative part, derived on construction.  ``kind``
+    records the constructor ("power", "kernel", "first-order",
+    "tabulated") and ``params`` its arguments.
     """
 
     lattice: WavenumberLattice
     ell: np.ndarray
-    m: np.ndarray
     kind: str
     params: dict = field(default_factory=dict)
+    m: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if np.min(self.m) < -NEGATIVITY_TOL:
-            raise ValueError(
-                f"negative dissipative part: min m = {np.min(self.m):.3e}")
-        defect = np.max(np.abs(self.m - negate_kappa(self.m, self.lattice.dim)))
-        scale = max(np.max(np.abs(self.m)), 1.0)
-        if defect > 1e-10 * scale:
+        if not np.all(np.isfinite(self.ell)):
+            raise ValueError("non-finite symbol: NaN or Inf in ell")
+        m = np.negative(self.ell.real)
+        if np.min(m) < -NEGATIVITY_TOL:
+            raise ValueError(f"non-dissipative symbol: negative dissipative "
+                             f"part, min m = {np.min(m):.3e}")
+        np.maximum(m, 0.0, out=m)
+        defect = np.max(np.abs(m - negate_kappa(m, self.lattice.dim)))
+        if defect > 1e-10 * max(np.max(m), 1.0):
             raise ValueError("dissipative part is not even in k")
+        object.__setattr__(self, "m", m)
 
     @property
     def mu(self):
@@ -58,9 +64,12 @@ def power_symbol(lattice: WavenumberLattice, mu: float,
     if not alpha > 1:
         raise ValueError(
             f"alpha must exceed 1 (got {alpha}); use plain viscosity for alpha=1")
-    m = mu * lattice.k_mag ** (2.0 * alpha)
-    return MultiplierSymbol(lattice, -m.astype(np.complex128), m, "power",
-                            {"mu": mu, "alpha": alpha})
+    # built in place, as m is below: grid-sized temporaries at set-up raised
+    # the peak RSS of 3-D runs.  An overflow to inf is refused by the symbol.
+    with np.errstate(over="ignore"):
+        ell = lattice.k_mag ** (2.0 * alpha)
+        ell *= -mu
+    return MultiplierSymbol(lattice, ell, "power", {"mu": mu, "alpha": alpha})
 
 
 def kernel_symbol(lattice: WavenumberLattice,
@@ -68,8 +77,7 @@ def kernel_symbol(lattice: WavenumberLattice,
     """Symbol of a second-derivative convolution term.
 
     ``c_hats`` gives one transform array per direction; the raw symbol is
-    ell(k) = -sum_j k_j^2 c_hat_j(k) and m(k) = sum_j k_j^2 Re c_hat_j(k).
-    Construction fails if m dips below -1e-12 anywhere.
+    ell(k) = -sum_j k_j^2 c_hat_j(k), so m(k) = sum_j k_j^2 Re c_hat_j(k).
     """
     if len(c_hats) != lattice.dim:
         raise ValueError(
@@ -80,12 +88,7 @@ def kernel_symbol(lattice: WavenumberLattice,
         if c_hat.shape != lattice.grid_shape:
             raise ValueError("kernel transform shape does not match lattice")
         ell -= lattice.k[j] ** 2 * c_hat
-    m = (-ell).real
-    if np.min(m) < -NEGATIVITY_TOL:
-        raise ValueError(
-            f"non-dissipative kernel: min m = {np.min(m):.3e} < 0")
-    m = np.maximum(m, 0.0)
-    return MultiplierSymbol(lattice, ell, m, "kernel", {})
+    return MultiplierSymbol(lattice, ell, "kernel", {})
 
 
 def first_order_symbol(lattice: WavenumberLattice, b_hat: np.ndarray,
@@ -107,8 +110,7 @@ def first_order_symbol(lattice: WavenumberLattice, b_hat: np.ndarray,
     if not 0 <= direction < lattice.dim:
         raise ValueError(f"direction {direction} out of range")
     ell = 1j * lattice.k[direction] * b_hat
-    m = np.zeros(lattice.grid_shape)
-    return MultiplierSymbol(lattice, ell, m, "first-order",
+    return MultiplierSymbol(lattice, ell, "first-order",
                             {"direction": direction})
 
 
@@ -129,8 +131,11 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no symbol rows")
+    if any(len(row) != 5 for row in rows):
+        raise ValueError(f"{path}: every row needs 5 fields")
     data = np.asarray(rows)
-    ell_vals = data[:, 3] + 1j * data[:, 4]
+    # complex(re, im), not re + 1j * im: 1j * inf has a NaN real part
+    ell_vals = np.vectorize(complex)(data[:, 3], data[:, 4])
     if len(rows) == lattice.n_modes:
         ell = np.zeros(lattice.grid_shape, dtype=np.complex128)
         n = lattice.n_per_dim
@@ -154,12 +159,8 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
 
 def tabulated_symbol(lattice: WavenumberLattice, path) -> MultiplierSymbol:
     """Load a raw multiplier ell(k) from CSV (see :func:`load_symbol_table`)."""
-    ell = load_symbol_table(lattice, path)
-    m = (-ell).real
-    if np.min(m) < -NEGATIVITY_TOL:
-        raise ValueError(f"{path}: negative dissipative part")
-    m = np.maximum(m, 0.0)
-    return MultiplierSymbol(lattice, ell, m, "tabulated", {"path": str(path)})
+    return MultiplierSymbol(lattice, load_symbol_table(lattice, path),
+                            "tabulated", {"path": str(path)})
 
 
 @dataclass(frozen=True)
@@ -181,25 +182,16 @@ def _loglog_fit(k_vals, y_vals):
     return float(slope), rms
 
 
-def classify(sym, band: tuple, lattice: WavenumberLattice | None = None
-             ) -> SymbolClass:
-    """Classify a raw multiplier by its shell-extremum growth over a band.
+def classify(sym: MultiplierSymbol, band: tuple) -> SymbolClass:
+    """Classify a multiplier by its shell-extremum growth over a band.
 
-    ``sym`` is a :class:`MultiplierSymbol` or a raw ell array (then
-    ``lattice`` is required); ``band`` is (k_min, k_max) in physical
-    wavenumber.  Requires >= 8 distinct shells inside the dealias band.
+    ``band`` is (k_min, k_max) in physical wavenumber.  Requires >= 8
+    distinct shells inside the dealias band.
     """
-    if isinstance(sym, MultiplierSymbol):
-        ell, lattice = sym.ell, sym.lattice
-    else:
-        ell = np.asarray(sym)
-        if lattice is None:
-            raise ValueError("lattice required for a raw symbol array")
+    ell, m, lattice = sym.ell, sym.m, sym.lattice
     k_min, k_max = band
     if not k_min < k_max:
         raise ValueError(f"empty band ({k_min}, {k_max})")
-    if np.any(np.isnan(ell)):
-        raise ValueError("NaN in symbol")
 
     shells = lattice.shell_index
     in_band = (lattice.dealias_mask
@@ -211,7 +203,6 @@ def classify(sym, band: tuple, lattice: WavenumberLattice | None = None
             f"band ({k_min}, {k_max}) holds only {len(shell_ids)} shells; need >= 8")
 
     abs_ell = np.abs(ell)
-    m = (-ell).real
     # per-shell extrema paired with the |k| attaining them, so an exact
     # power law regresses to its exponent exactly
     abs_max, abs_k = [], []

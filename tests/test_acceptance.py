@@ -69,7 +69,7 @@ class TestCriterion1:
         exact = u0.coeffs * decay
 
         from hyperns.dynamics import Stepper, TrajectoryState
-        stepper = Stepper(lat, sym, cfg.nu, cfg.eps, cfg.dt, nonlinear=False)
+        stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt, nonlinear=False)
         st = TrajectoryState(u=u0.copy(), t=0.0, step_index=0)
         for _ in range(20):
             st = stepper.step(st)
@@ -229,7 +229,7 @@ class TestCriterion8:
         from hyperns.symbols import MultiplierSymbol
         lat32 = WavenumberLattice(32, 2)
         g = np.exp(-lat32.k_sq)
-        gauss = classify(MultiplierSymbol(lat32, -g, g, "tabulated", {}),
+        gauss = classify(MultiplierSymbol(lat32, -g, "tabulated", {}),
                          (lat32.k_unit, lat32.dealias_limit * lat32.k_unit))
         first = classify(first_order_symbol(
             lat32, np.ones(lat32.grid_shape), 0),

@@ -31,6 +31,14 @@ output_every = 2
 """
 
 
+def nan_table(tmp_path):
+    """A per-shell symbol table with a NaN dissipative value."""
+    path = tmp_path / "nan.csv"
+    path.write_text("k1,k2,k3,re_ell,im_ell\n0,0,0,0,0\n1,0,0,-1,0\n"
+                    "2,0,0,nan,0\n3,0,0,-9,0\n")
+    return path
+
+
 def write_config(tmp_path, text=CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -106,6 +114,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and "header" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("symbol", ["alpha = 150", "nan-table"])
+    def test_non_finite_symbol_is_config_error(self, tmp_path, capsys,
+                                               symbol):
+        # alpha = 150 overflows |k|^{2 alpha} on n = 16; a NaN table entry
+        text = CONFIG.replace("n = 32", "n = 16")
+        if symbol == "nan-table":
+            text = text.replace("symbol = power",
+                                f"symbol = table:{nan_table(tmp_path)}")
+        else:
+            text = text.replace("alpha = 1.25", symbol)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = assert_one_error_line(capsys, "config")
+        assert "bad symbol" in err and "non-finite" in err
         assert not out.exists()
 
     def test_missing_symbol_table_is_io_error(self, tmp_path, capsys):
@@ -326,6 +351,13 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and "header" in err
 
+    def test_nan_table_blames_the_table(self, tmp_path, capsys):
+        assert main(["classify", "--symbol", f"table:{nan_table(tmp_path)}",
+                     "--n", "16", "--dim", "2", "--band", "1:5"]) == 2
+        err = assert_one_error_line(capsys, "config")
+        assert "bad symbol table" in err and "NaN" in err
+        assert "--band" not in err
+
     def test_bad_band_is_config_error(self):
         assert main(["classify", "--symbol", "power:1:1.25", "--n", "64",
                      "--dim", "2", "--band", "nonsense"]) == 2
@@ -404,6 +436,21 @@ class TestSweepCommands:
         manifest = failed_manifest(out, "NumericalError")
         assert manifest["files"] == []
         assert manifest["failure"]["t"] >= 0
+
+    @pytest.mark.parametrize("table", ["nan", "header"])
+    def test_bad_symbol_table_is_config_error(self, tmp_path, capsys, table):
+        path = nan_table(tmp_path)
+        if table == "header":
+            path.write_text("k,re_ell,im_ell\n1,-1,0\n")
+        cfg = write_config(tmp_path, CONFIG.replace(
+            "symbol = power", f"symbol = table:{path}"))
+        out = tmp_path / "out"
+        code = main(["sweep-eps", str(cfg), "--eps", "1e-2,3e-3,1e-3,1e-4",
+                     "--s", "3.0", "--T", "0.1", "--out", str(out)])
+        assert code == 2
+        err = assert_one_error_line(capsys, "config")
+        assert err.startswith(f"error: config: bad symbol 'table:{path}': ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps", [
         "abc", "1e-2,1e-3,1e-4", "1e-2,1e-3,0,1e-4", "1e-2,8e-3,6e-3,4e-3"])

@@ -62,7 +62,7 @@ class TestEnergyBudget:
         sym = power_symbol(lat, 1.0, 1.25)
         u = stream_function_field(lat, 4)
         u.coeffs *= 0.5 / u.l2_norm()
-        stp = Stepper(lat, sym, nu, eps, dt, nonlinear=False)
+        stp = Stepper(sym, nu, eps, dt, nonlinear=False)
         st = TrajectoryState(u=u, t=0.0, step_index=0)
         records = [make_record(st, nu, eps, sym)]
         for i in range(n_steps):
@@ -136,7 +136,7 @@ class TestDefectSplit:
         c[1, kappa0, 0] = 0.5
         c[1, -kappa0, 0] = 0.5
         u = SpectralVelocity(lat, c)
-        stp = Stepper(lat, sym, nu, eps, 1e-2, nonlinear=False)
+        stp = Stepper(sym, nu, eps, 1e-2, nonlinear=False)
         st = TrajectoryState(u=u, t=0.0, step_index=0)
         times, states = [0.0], [st.u.copy()]
         for _ in range(20):

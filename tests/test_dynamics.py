@@ -23,7 +23,7 @@ def base_config(**kw):
 
 def make_stepper(cfg, sym=None):
     lat = cfg.build_lattice()
-    return Stepper(lat, sym or cfg.build_symbol(lat), cfg.nu, cfg.eps, cfg.dt)
+    return Stepper(sym or cfg.build_symbol(lat), cfg.nu, cfg.eps, cfg.dt)
 
 
 class TestNonlinearTerm:
@@ -102,7 +102,7 @@ class TestStep:
         lat = cfg.build_lattice()
         sym = cfg.build_symbol(lat)
         u0 = stream_function_field(lat, 2)
-        stepper = Stepper(lat, sym, cfg.nu, cfg.eps, cfg.dt, nonlinear=False)
+        stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt, nonlinear=False)
         st = stepper.step(TrajectoryState(u=u0.copy(), t=0.0, step_index=0))
         expect = u0.coeffs * linear_propagator(sym, cfg.nu, cfg.eps, cfg.dt)
         occ = np.abs(expect) > 0
@@ -226,7 +226,7 @@ class TestRun:
         u0b = SpectralVelocity(lat_b, big)
 
         def integrate(lat, u):
-            stp = Stepper(lat, power_symbol(lat, 1.0, 1.25), 2e-2, 1e-4, 2e-3)
+            stp = Stepper(power_symbol(lat, 1.0, 1.25), 2e-2, 1e-4, 2e-3)
             st = TrajectoryState(u=u, t=0.0, step_index=0)
             for _ in range(250):
                 st = stp.step(st)

@@ -7,10 +7,10 @@ random noise, on 2-D and 3-D lattices with small even n.  Exactness means
 `== 0.0`, not a tolerance: the transforms run in the rfftn half layout,
 and `full_layout` fills the other half by conjugation.
 
-Energy neutrality is drawn on n not divisible by 3.  When 3 divides n the
-dealias band |kappa_i| <= floor(n/3) = n/3 is one mode too wide: the sum
-of two band-edge modes, 2n/3, aliases to -n/3, inside the band.  The
-strict xfail below keeps that defect in view until the band is fixed.
+Energy neutrality is drawn on every size.  The dealias band keeps
+|kappa_i| < n/3, so the sum of two kept modes never aliases into the band;
+a test on n = 12 keeps the case 3 | n in view, where a band |kappa_i| <= n/3
+would alias.
 """
 import numpy as np
 import pytest
@@ -27,16 +27,15 @@ from hyperns.symbols import power_symbol
 # criterion 3's bound on the normalized pairing <B(u), u>
 NEUTRALITY_TOL = 1e-12
 CONSTRUCTORS = ("random_field", "taylor_green", "from_physical")
-# n per dim, and those without the 3 | n dealias defect
+# n per dim
 SIZES = {2: [8, 10, 12, 16], 3: [8, 10, 12]}
-SIZES_NOT_3 = {dim: [n for n in ns if n % 3] for dim, ns in SIZES.items()}
 
 
 @st.composite
-def fields(draw, sizes=SIZES):
+def fields(draw):
     """(constructor name, field as built, lattice)."""
     dim = draw(st.sampled_from([2, 3]))
-    n = draw(st.sampled_from(sizes[dim]))
+    n = draw(st.sampled_from(SIZES[dim]))
     seed = draw(st.integers(0, 2 ** 16))
     kind = draw(st.sampled_from(CONSTRUCTORS))
     lat = WavenumberLattice(n, dim)
@@ -66,18 +65,17 @@ def neutrality(u: SpectralVelocity) -> float:
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
-@given(fields(sizes=SIZES_NOT_3))
+@given(fields())
 def test_step_keeps_invariants(case):
     _, u, lat = case
     u = dealias(leray_project(u))
     assert neutrality(u) <= NEUTRALITY_TOL
-    stepper = Stepper(lat, power_symbol(lat, 1.0, 1.25), 1e-2, 1e-4, 1e-3)
+    stepper = Stepper(power_symbol(lat, 1.0, 1.25), 1e-2, 1e-4, 1e-3)
     u1 = stepper.step(TrajectoryState(u=u, t=0.0, step_index=0)).u
     assert u1.hermitian_defect() == 0.0
     assert u1.divergence_max() <= DIV_TOL
 
 
-@pytest.mark.xfail(strict=True, reason="floor(n/3) band aliases when 3 | n")
 @pytest.mark.parametrize("dim", [2, 3])
 def test_energy_neutrality_when_3_divides_n(dim):
     u = random_field(WavenumberLattice(12, dim), 1, 2.0, 3.0, 1.0)

@@ -138,19 +138,19 @@ class TestDealias:
         c[1, 2, 1, 0] = 1.0
         c[1, -2, -1, 0] = 1.0
         out = dealias(SpectralVelocity(lat, c))
-        assert out.coeffs[0, 3, 0, 0] == 0.0  # floor(8/3) = 2
+        assert out.coeffs[0, 3, 0, 0] == 0.0  # |kappa| < 8/3 keeps 2
         assert out.coeffs[1, 2, 1, 0] == 1.0
 
     def test_n12_band(self):
         lat = build_lattice(12, 2)
         c = np.zeros((2,) + lat.grid_shape, dtype=complex)
-        c[0, 4, 0] = 1.0
-        c[0, -4, 0] = 1.0
-        c[1, 5, 0] = 1.0
-        c[1, -5, 0] = 1.0
+        c[0, 3, 0] = 1.0
+        c[0, -3, 0] = 1.0
+        c[1, 4, 0] = 1.0
+        c[1, -4, 0] = 1.0
         out = dealias(SpectralVelocity(lat, c))
-        assert out.coeffs[0, 4, 0] == 1.0  # floor(12/3) = 4
-        assert out.coeffs[1, 5, 0] == 0.0
+        assert out.coeffs[0, 3, 0] == 1.0  # |kappa| < 12/3 keeps 3
+        assert out.coeffs[1, 4, 0] == 0.0
 
     def test_idempotent(self):
         lat = build_lattice(16, 2)

@@ -29,6 +29,12 @@ class TestPowerSymbol:
         with pytest.raises(ValueError):
             power_symbol(lat, mu, alpha)
 
+    def test_overflowing_power_refused(self):
+        # 11.3^300 overflows float64: the symbol would put inf into m
+        lat = build_lattice(16, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            power_symbol(lat, 1.0, 150.0)
+
     def test_even(self):
         lat = build_lattice(16, 3)
         sym = power_symbol(lat, 1.3, 1.25)
@@ -40,7 +46,7 @@ class TestPowerSymbol:
         lat = build_lattice(n, dim)
         m = lat.k_sq + lat.k[0]
         with pytest.raises(ValueError, match="not even"):
-            MultiplierSymbol(lat, -m.astype(complex), m, "tabulated")
+            MultiplierSymbol(lat, -m.astype(complex), "tabulated")
 
 
 class TestKernelSymbol:
@@ -131,6 +137,13 @@ class TestTabulated:
         with pytest.raises(ValueError, match="header"):
             tabulated_symbol(lat, path)
 
+    def test_short_row_refused(self, tmp_path):
+        lat = build_lattice(8, 2)
+        path = tmp_path / "short.csv"
+        path.write_text("k1,k2,k3,re_ell,im_ell\n1,0,0\n2,0,0\n")
+        with pytest.raises(ValueError, match="5 fields"):
+            tabulated_symbol(lat, path)
+
     def test_negative_refused(self, tmp_path):
         lat = build_lattice(8, 2)
         path = tmp_path / "neg.csv"
@@ -152,7 +165,7 @@ class TestClassify:
     def test_gaussian_bounded_symbol(self):
         lat = build_lattice(32, 2)
         g = np.exp(-lat.k_sq)
-        sym = MultiplierSymbol(lat, -(g.astype(complex)), g, "tabulated", {})
+        sym = MultiplierSymbol(lat, -(g.astype(complex)), "tabulated", {})
         assert classify(sym, full_band(lat)).tag == "order_zero"
 
     def test_first_order_imaginary(self):
@@ -181,7 +194,7 @@ class TestClassify:
         ell = np.zeros(lat.grid_shape, dtype=complex)
         ell[1, 1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            classify(ell, full_band(lat), lattice=lat)
+            MultiplierSymbol(lat, ell, "tabulated")
 
 
 class TestApplyMultiplier:
