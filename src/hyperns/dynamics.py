@@ -63,18 +63,21 @@ class TrajectoryState:
 def _half_nonlinear(lat: WavenumberLattice, h: np.ndarray):
     """Dealiased, projected div(u tensor u) / i of half-layout coefficients.
 
-    Returns (d, phys): B(u) = i d, and the physical velocity field.  One
-    inverse transform of the field and one forward transform of each
-    product u_i u_j, whose transform enters rows i and j.
+    Returns (d, phys): B(dealias(u)) = i d, and the physical velocity field
+    of dealias(u).  One band inverse transform of the field and one band
+    forward transform of each product u_i u_j, whose transform enters rows
+    i and j: only the two-thirds band of ``h`` is read, and only the band
+    of the products is computed.
     """
     dim = lat.dim
-    # positional arguments: the benchmark's tracer counts points of args[1]
-    phys = lat.inverse(h)
+    # the array stays positional: the benchmark's tracer counts the points
+    # of args[1]
+    phys = lat.inverse(h, dealiased=True)
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     prod = np.empty((len(pairs),) + lat.grid_shape)
     for p, (i, j) in enumerate(pairs):
         np.multiply(phys[i], phys[j], out=prod[p])
-    t = lat.forward(prod)
+    t = lat.forward(prod, dealiased=True)
     k = lat.half_dealias_k
     d = np.zeros_like(h)
     for p, (i, j) in enumerate(pairs):
@@ -89,10 +92,11 @@ def _half_nonlinear(lat: WavenumberLattice, h: np.ndarray):
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     """B(u) = dealias(P(div(u tensor u))), computed pseudospectrally.
 
-    The input is expected dealiased, divergence-free and Hermitian (only
-    its half layout is read); the output is all three, and exactly
-    energy-neutral under the two-thirds rule.  This is the kernel the time
-    stepper runs.
+    Only the two-thirds band of the input's half layout is read, so
+    ``nonlinear_term(u)`` is B(dealias(u)).  The input is expected
+    divergence-free and Hermitian; the output is dealiased, both of those,
+    and exactly energy-neutral under the two-thirds rule.  This is the
+    kernel the time stepper runs.
     """
     lat = u.lattice
     d, _ = _half_nonlinear(lat, lat.half(u.coeffs))
@@ -115,7 +119,12 @@ def linear_propagator(sym: MultiplierSymbol, nu: float, eps: float,
 
 class Stepper:
     """One-trajectory integrator on its symbol's lattice, with precomputed
-    half-layout propagators."""
+    half-layout propagators.
+
+    The nonlinear stages read only the two-thirds band of their input, as
+    :func:`nonlinear_term` does: a state that is not dealiased is advected
+    as dealias(u), while the propagator decays every mode.
+    """
 
     def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
                  dt: float, nonlinear: bool = True):

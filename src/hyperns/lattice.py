@@ -9,7 +9,10 @@ Conventions fixed here and used by every other module:
 * the mean mode u_hat(0) is pinned to zero;
 * Nyquist rows (kappa_i = -n/2) are zeroed on construction of any
   velocity field;
-* dealiasing keeps |kappa_i| < n/3 (Orszag's two-thirds rule).
+* dealiasing keeps |kappa_i| < n/3 (Orszag's two-thirds rule); with
+  ``dealiased=True`` the transforms skip the 1-D FFTs whose lines lie
+  outside that band, in numpy's own axis order, so they match the full
+  ``rfftn``/``irfftn`` bit for bit on the band.
 
 Velocity fields, snapshots and every public function use the full layout:
 coefficients of shape (dim, n, ..., n) in ``numpy.fft.fftn`` order.  The
@@ -195,15 +198,64 @@ class WavenumberLattice:
                 f"array shape {a.shape} does not match lattice grid {shape}")
         return tuple(range(-self.dim, 0))
 
-    def forward(self, phys: np.ndarray) -> np.ndarray:
-        """Real field -> half-layout coefficients (1/n^dim normalization)."""
-        axes = self._grid_axes(phys, self.grid_shape)
-        return np.fft.rfftn(phys, axes=axes, norm="forward")
+    @property
+    def _band_rows(self) -> tuple:
+        """The kept rows of a full-layout axis under the two-thirds rule, as
+        two basic slices: kappa = 0..lim and kappa = -lim..-1."""
+        n, lim = self.n_per_dim, self.dealias_limit
+        return slice(0, lim + 1), slice(n - lim, n)
 
-    def inverse(self, h: np.ndarray) -> np.ndarray:
-        """Half-layout coefficients -> real field (leading axes ride along)."""
+    def forward(self, phys: np.ndarray, *, dealiased: bool = False
+                ) -> np.ndarray:
+        """Real field -> half-layout coefficients (1/n^dim normalization).
+
+        ``dealiased=True`` transforms only what the two-thirds rule keeps:
+        equal to the full transform bit for bit on the band, +0.0 elsewhere.
+        """
+        axes = self._grid_axes(phys, self.grid_shape)
+        if not dealiased:
+            return np.fft.rfftn(phys, axes=axes, norm="forward")
+        # rfftn's own axis order, last axis first, on the kept lines only
+        n, lim = self.n_per_dim, self.dealias_limit
+        h = np.fft.rfft(phys, axis=-1, norm="forward")
+        kept = h[..., :lim + 1]
+        np.fft.fft(kept, axis=-2, norm="forward", out=kept)
+        if self.dim == 3:
+            for rows in self._band_rows:
+                lines = h[..., rows, :lim + 1]
+                np.fft.fft(lines, axis=-3, norm="forward", out=lines)
+        h[..., lim + 1:] = 0.0
+        cut = slice(lim + 1, n - lim)
+        for after in range(1, self.dim):
+            h[(..., cut) + (slice(None),) * after] = 0.0
+        return h
+
+    def inverse(self, h: np.ndarray, *, dealiased: bool = False
+                ) -> np.ndarray:
+        """Half-layout coefficients -> real field (leading axes ride along).
+
+        ``dealiased=True`` reads only the modes the two-thirds rule keeps:
+        the result is that of ``h`` times the dealias mask, and equal to the
+        full transform bit for bit when ``h`` is zero off the band.
+        """
         axes = self._grid_axes(h, self.grid_shape[:-1] + (self.half_modes,))
-        return np.fft.irfftn(h, s=self.grid_shape, axes=axes, norm="forward")
+        if not dealiased:
+            return np.fft.irfftn(h, s=self.grid_shape, axes=axes,
+                                 norm="forward")
+        # irfftn's own axis order, first axis first, on the kept lines only
+        lim = self.dealias_limit
+        band = self._band_rows
+        work = np.zeros(h.shape, dtype=np.complex128)
+        for rows in itertools.product(band, repeat=self.dim - 1):
+            idx = (...,) + rows + (slice(0, lim + 1),)
+            work[idx] = h[idx]
+        if self.dim == 3:
+            for rows in band:
+                lines = work[..., rows, :lim + 1]
+                np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
+        kept = work[..., :lim + 1]
+        np.fft.ifft(kept, axis=-2, norm="forward", out=kept)
+        return np.fft.irfft(work, n=self.n_per_dim, axis=-1, norm="forward")
 
 
 def hermitian_defect(coeffs: np.ndarray, dim: int) -> float:

@@ -117,9 +117,10 @@ def first_order_symbol(lattice: WavenumberLattice, b_hat: np.ndarray,
 def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
     """Read a CSV table (header k1,k2,k3,re_ell,im_ell) onto the lattice.
 
-    One row per lattice mode (matched by integer kappa) or one row per
-    shell radius (modes pick the nearest shell).  Returns the raw complex
-    values per mode with no sign validation.
+    One row per lattice mode (matched by integer kappa, every mode exactly
+    once) or one row per shell radius (modes pick the nearest shell).
+    Wavenumbers must be finite.  Returns the raw complex values per mode
+    with no sign validation.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -134,15 +135,21 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
     if any(len(row) != 5 for row in rows):
         raise ValueError(f"{path}: every row needs 5 fields")
     data = np.asarray(rows)
+    if not np.all(np.isfinite(data[:, :3])):
+        raise ValueError(f"{path}: non-finite wavenumber")
     # complex(re, im), not re + 1j * im: 1j * inf has a NaN real part
     ell_vals = np.vectorize(complex)(data[:, 3], data[:, 4])
     if len(rows) == lattice.n_modes:
         ell = np.zeros(lattice.grid_shape, dtype=np.complex128)
         n = lattice.n_per_dim
-        kap = np.rint(data[:, :lattice.dim] / lattice.k_unit).astype(np.int64)
+        kap = np.rint(data[:, :lattice.dim] / lattice.k_unit)
         if np.any(np.abs(kap) > n // 2):
             raise ValueError(f"{path}: mode outside the lattice")
-        idx = tuple((kap[:, d] % n) for d in range(lattice.dim))
+        idx = tuple(kap.T.astype(np.int64) % n)
+        modes = np.unique(np.ravel_multi_index(idx, lattice.grid_shape))
+        if modes.size != lattice.n_modes:
+            raise ValueError(
+                f"{path}: rows do not cover every lattice mode exactly once")
         ell[idx] = ell_vals
     else:
         radii = np.sqrt(np.sum(data[:, :3] ** 2, axis=1)) / lattice.k_unit

@@ -39,6 +39,25 @@ def nan_table(tmp_path):
     return path
 
 
+def per_mode_table(tmp_path, lat, defect):
+    """A per-mode table of ell = -|k|^2 on ``lat`` whose wavenumber columns
+    carry ``defect``: a NaN k1, or the mean mode's row naming the next
+    row's mode, which leaves the mean mode unlisted."""
+    k = lat.k.reshape(lat.dim, lat.n_modes)
+    ell = -np.sum(k ** 2, axis=0)
+    k = k.copy()
+    if defect == "nan-wavenumber":
+        k[0, 1] = np.nan
+    else:
+        k[:, 0] = k[:, 1]
+    rows = ["k1,k2,k3,re_ell,im_ell"] + [
+        ",".join(repr(float(v)) for v in (k1, k2, 0.0, e, 0.0))
+        for k1, k2, e in zip(k[0], k[1], ell)]
+    path = tmp_path / f"{defect}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def write_config(tmp_path, text=CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -131,6 +150,21 @@ class TestRunCommand:
                      "--out", str(out)]) == 2
         err = assert_one_error_line(capsys, "config")
         assert "bad symbol" in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["nan-wavenumber", "duplicate-mode"])
+    def test_bad_table_wavenumbers_are_config_error(self, tmp_path, capsys,
+                                                    defect):
+        table = per_mode_table(tmp_path, WavenumberLattice(16, 2), defect)
+        text = CONFIG.replace("n = 32", "n = 16").replace(
+            "symbol = power", f"symbol = table:{table}")
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = assert_one_error_line(capsys, "config")
+        assert "bad symbol" in err and str(table) in err
+        assert ("non-finite wavenumber" in err
+                or "every lattice mode exactly once" in err)
         assert not out.exists()
 
     def test_missing_symbol_table_is_io_error(self, tmp_path, capsys):

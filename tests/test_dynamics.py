@@ -69,6 +69,15 @@ class TestNonlinearTerm:
         assert np.all(b.coeffs[:, ~lat.dealias_mask] == 0.0)
         assert b.divergence_max() <= 1e-12
 
+    def test_reads_only_the_band(self):
+        lat = WavenumberLattice(12, 3)
+        noise = np.random.default_rng(4).standard_normal(
+            (lat.dim,) + lat.grid_shape)
+        u = SpectralVelocity.from_physical(lat, noise)
+        assert np.any(u.coeffs[:, ~lat.dealias_mask] != 0)
+        assert np.array_equal(nonlinear_term(u).coeffs,
+                              nonlinear_term(dealias(u)).coeffs)
+
 
 class TestLinearPropagator:
     def test_viscous_value(self):

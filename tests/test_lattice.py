@@ -81,6 +81,32 @@ class TestTransforms:
         with pytest.raises(ValueError, match="shape"):
             lat.inverse(np.zeros((8, 8), dtype=complex))
 
+    @pytest.mark.parametrize("lead", [(), (3,), (6,)])
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_band_forward_is_the_full_transform_on_the_band(self, dim, n,
+                                                            lead):
+        lat = build_lattice(n, dim)
+        x = np.random.default_rng(n).standard_normal(lead + lat.grid_shape)
+        full, band = lat.forward(x), lat.forward(x, dealiased=True)
+        kept = np.broadcast_to(lat.half(lat.dealias_mask), full.shape)
+        assert band[kept].tobytes() == full[kept].tobytes()
+        cut = band[~kept].view(np.float64)
+        assert np.all(cut == 0.0) and not np.any(np.signbit(cut))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (6,)])
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_band_inverse_reads_only_the_band(self, dim, n, lead):
+        lat = build_lattice(n, dim)
+        rng = np.random.default_rng(n)
+        h = lat.forward(rng.standard_normal(lead + lat.grid_shape))
+        limited = h * lat.half(lat.dealias_mask)
+        assert (lat.inverse(limited, dealiased=True).tobytes()
+                == lat.inverse(limited).tobytes())
+        assert np.array_equal(lat.inverse(h, dealiased=True),
+                              lat.inverse(limited))
+
     def test_only_the_lattice_calls_numpy_fft(self):
         src = Path(hyperns.__file__).parent
         callers = [p.name for p in sorted(src.glob("*.py"))
