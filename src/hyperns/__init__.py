@@ -4,8 +4,7 @@ with an additional nonlocal dissipative Fourier-multiplier term."""
 __version__ = "0.1.0"
 
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
-                      build_lattice, dealias, inner_product, leray_project,
-                      sobolev_norm)
+                      dealias, inner_product, leray_project, sobolev_norm)
 from .symbols import (MultiplierSymbol, SymbolClass, apply_multiplier,
                       classify, first_order_symbol, kernel_symbol,
                       power_symbol, tabulated_symbol)

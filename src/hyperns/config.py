@@ -1,11 +1,11 @@
 """Run configuration: key=value parsing, validation, canonical echo, hashing."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 from .lattice import WavenumberLattice
 from . import symbols as _symbols
@@ -15,7 +15,29 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-PRESETS = ("taylor-green-2d", "taylor-green-3d", "random")
+@contextlib.contextmanager
+def _config_input(what: str):
+    """Report a ValueError raised on the user's input as a ConfigError.
+
+    Never wrap a snapshot read: SnapshotError is a ValueError too, and its
+    exit 4 would turn into exit 2.
+    """
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{what}: {err}") from None
+
+
+# each Taylor-Green preset names the dimension it needs
+PRESET_DIMS = {"taylor-green-2d": 2, "taylor-green-3d": 3}
+PRESETS = (*PRESET_DIMS, "random")
+
+
+def check_preset_dim(ic: str, dim: int) -> None:
+    """ConfigError if ``ic`` is a preset of another dimension than ``dim``."""
+    need = PRESET_DIMS.get(ic)
+    if need not in (None, dim):
+        raise ConfigError(f"ic = {ic} needs dim = {need}, got dim = {dim}")
 
 
 @dataclass
@@ -60,10 +82,8 @@ class SimConfig:
             raise ConfigError(f"nu must be positive, got {self.nu}")
         if self.eps < 0:
             raise ConfigError(f"eps must be nonnegative, got {self.eps}")
-        if self.n < 4 or self.n % 2 != 0:
-            raise ConfigError(f"n must be even and >= 4, got {self.n}")
-        if self.dim not in (2, 3):
-            raise ConfigError(f"dim must be 2 or 3, got {self.dim}")
+        with _config_input("lattice"):
+            self.build_lattice()
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0:
@@ -72,8 +92,6 @@ class SimConfig:
         if not (math.isfinite(steps) and round(steps) >= 1):
             raise ConfigError(f"t_end / dt = {steps:g} must round to a "
                               "finite step count of at least 1")
-        if not self.box_length > 0:
-            raise ConfigError(f"box_length must be positive, got {self.box_length}")
         if self.output_every < 1:
             raise ConfigError("output_every must be a positive integer")
         if not 0 < self.eta < 1:
@@ -84,12 +102,8 @@ class SimConfig:
         if kind == "power":
             if math.isnan(self.alpha):
                 raise ConfigError("symbol=power requires alpha")
-            if not self.alpha > 1:
-                raise ConfigError(
-                    f"alpha must exceed 1 for power symbols (got {self.alpha}); "
-                    "use plain viscosity nu for Laplacian-order dissipation")
-            if not self.mu > 0:
-                raise ConfigError(f"mu must be positive, got {self.mu}")
+            with _config_input("power symbol"):
+                _symbols.check_power_law(self.mu, self.alpha)
         elif ":" not in self.symbol:
             raise ConfigError(f"symbol {self.symbol!r} needs a :PATH argument")
         ic_kind = self.ic.split(":", 1)[0]
@@ -111,14 +125,9 @@ class SimConfig:
         return _symbols.kernel_symbol(lattice, [c_hat] * lattice.dim)
 
 
-_KEY_TYPES = {
-    "nu": float, "eps": float, "alpha": float, "mu": float,
-    "symbol": str, "n": int, "dim": int, "box_length": float,
-    "dt": float, "t_end": float, "output_every": int, "ic": str,
-    "seed": int, "sigma": float, "k_c": float, "amplitude": float,
-    "eta": float,
-}
-_REQUIRED = ("nu", "eps", "symbol", "n", "dim", "dt", "t_end", "ic")
+# the config keys are SimConfig's fields; the required ones have no default
+_KEY_TYPES = typing.get_type_hints(SimConfig)
+_REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
 
 
 def parse_config(text: str) -> SimConfig:
@@ -148,12 +157,9 @@ def parse_config(text: str) -> SimConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    # a preset names its dimension; a SimConfig built in code may still
-    # pair them otherwise, and initial_condition then refuses it
-    preset_dim = {"taylor-green-2d": 2, "taylor-green-3d": 3}.get(values["ic"])
-    if preset_dim not in (None, values["dim"]):
-        raise ConfigError(f"ic = {values['ic']} needs dim = {preset_dim}, "
-                          f"got dim = {values['dim']}")
+    # a SimConfig built in code may still pair a preset with another
+    # dimension, and initial_condition then refuses it
+    check_preset_dim(values["ic"], values["dim"])
     return SimConfig(**values)
 
 

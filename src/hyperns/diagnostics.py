@@ -31,7 +31,7 @@ def make_record(state, nu: float, eps: float,
     here, the shell spectrum included, is taken over its ``mag2``.
     """
     lat = state.u.lattice
-    vol = lat.box_length ** lat.dim
+    vol = lat.volume
     mag2 = state.mag2
     energy = 0.5 * vol * float(np.sum(mag2))
     grad_sq = vol * float(np.sum(lat.k_sq * mag2))
@@ -49,10 +49,9 @@ def make_record(state, nu: float, eps: float,
 
 def _shell_energies(lat, mag2: np.ndarray) -> np.ndarray:
     """E(k_s) per integer shell of a per-mode |u_hat|^2 array."""
-    vol = lat.box_length ** lat.dim
     shells = lat.shell_index
     n_shell = int(shells.max()) + 1
-    return np.bincount(shells.ravel(), weights=(0.5 * vol * mag2).ravel(),
+    return np.bincount(shells.ravel(), weights=(0.5 * lat.volume * mag2).ravel(),
                        minlength=n_shell)
 
 
@@ -132,8 +131,7 @@ class DefectSplitSink:
         if sym.kind == "power":
             alpha, const, origin = sym.alpha, sym.mu, "exact-power"
         else:
-            kd = lat.dealias_limit * lat.k_unit
-            cls = classify(sym, (lat.k_unit, kd))
+            cls = classify(sym, (lat.k_unit, lat.k_dealias))
             if cls.tag != "hyperdissipative":
                 raise ValueError(f"defect split needs a hyperdissipative "
                                  f"symbol, got {cls.tag}")
@@ -150,7 +148,7 @@ class DefectSplitSink:
 
     def _add(self, t: float, mag2: np.ndarray) -> None:
         lat = self.sym.lattice
-        vol = lat.box_length ** lat.dim
+        vol = lat.volume
         wm = self.sym.m * mag2
         self.rows.append((float(t), vol * float(np.sum(wm[self.low_mask])),
                           vol * float(np.sum(wm[~self.low_mask])),

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SimConfig
+from .config import PRESET_DIMS, SimConfig, check_preset_dim
 from .diagnostics import DiagnosticsRecord, attach_budget_residuals, make_record
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
                       _sobolev_norm, dealias, leray_project)
@@ -137,7 +137,6 @@ class Stepper:
         m = lattice.half(sym.m)
         self.e_half = _decay(lattice.half_k_sq, m, nu, eps, dt / 2.0)
         self.e_full = _decay(lattice.half_k_sq, m, nu, eps, dt)
-        self.k_max = lattice.k_unit * lattice.dealias_limit
 
     def _rhs(self, h: np.ndarray):
         """-B of half-layout coefficients, and the physical velocity."""
@@ -150,7 +149,7 @@ class Stepper:
     def cfl(self, phys: np.ndarray) -> float:
         """Advective CFL number of a physical velocity field."""
         vmax = float(np.max(np.sqrt(np.sum(phys ** 2, axis=0))))
-        return self.dt * vmax * self.k_max
+        return self.dt * vmax * self.lattice.k_dealias
 
     def step(self, state: TrajectoryState) -> TrajectoryState:
         dt = self.dt
@@ -225,13 +224,8 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
 def initial_condition(cfg: SimConfig,
                       lattice: WavenumberLattice) -> SpectralVelocity:
     kind, _, arg = cfg.ic.partition(":")
-    if kind == "taylor-green-2d":
-        if lattice.dim != 2:
-            raise ValueError("taylor-green-2d needs dim=2")
-        u = taylor_green(lattice)
-    elif kind == "taylor-green-3d":
-        if lattice.dim != 3:
-            raise ValueError("taylor-green-3d needs dim=3")
+    if kind in PRESET_DIMS:
+        check_preset_dim(kind, lattice.dim)
         u = taylor_green(lattice)
     elif kind == "random":
         u = random_field(lattice, cfg.seed, cfg.sigma, cfg.k_c, cfg.amplitude)

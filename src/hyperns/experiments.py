@@ -11,8 +11,7 @@ from .diagnostics import DefectSplitSink
 from .dynamics import NumericalError, nonlinear_term, run
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
                       sobolev_norm)
-from .symbols import (MultiplierSymbol, apply_multiplier, classify,
-                      kernel_symbol, power_symbol)
+from .symbols import apply_multiplier, classify, kernel_symbol, power_symbol
 
 TAIL_FRACTION_LIMIT = 1e-8
 
@@ -78,8 +77,7 @@ def dilation_norm_exponent(alpha: float, dim: int) -> float:
 
 
 def scaling_covariance_residual(u: SpectralVelocity, lam: int, alpha: float,
-                                mu: float, sym: MultiplierSymbol | None = None
-                                ) -> float:
+                                mu: float) -> float:
     """Discrete covariance check of the pure-power right-hand side.
 
     F(v) = -B(v) - mu M v with nu = 0; the residual compares F(dilate(u))
@@ -87,8 +85,7 @@ def scaling_covariance_residual(u: SpectralVelocity, lam: int, alpha: float,
     the doubled, dilated frequency support to respect the dealias band.
     """
     lat = u.lattice
-    if sym is None:
-        sym = power_symbol(lat, mu, alpha)
+    sym = power_symbol(lat, mu, alpha)
 
     def rhs(v: SpectralVelocity) -> SpectralVelocity:
         b = nonlinear_term(v)
@@ -264,7 +261,7 @@ def kernel_interpolation_study(base_cfg: SimConfig, families) -> list:
     if len(families) < 3:
         raise ValueError("need a family of >= 3 kernels")
     lattice = base_cfg.build_lattice()
-    band = (lattice.k_unit, lattice.dealias_limit * lattice.k_unit)
+    band = (lattice.k_unit, lattice.k_dealias)
     report = []
     for name, builder in families:
         entry = {"name": name, "refused": False, "classification": None,

@@ -73,6 +73,11 @@ class WavenumberLattice:
         return 2.0 * np.pi / self.box_length
 
     @property
+    def volume(self) -> float:
+        """L^dim, the Parseval weight: ||u||_L2^2 = L^dim sum_k |u_hat(k)|^2."""
+        return self.box_length ** self.dim
+
+    @property
     def grid_shape(self) -> tuple:
         return (self.n_per_dim,) * self.dim
 
@@ -113,6 +118,12 @@ class WavenumberLattice:
         """Largest kept |kappa_i| under the two-thirds rule |kappa_i| < n/3:
         the sum of two kept modes then never aliases into the band."""
         return (self.n_per_dim - 1) // 3
+
+    @property
+    def k_dealias(self) -> float:
+        """Physical wavenumber of the resolved band's edge, k_unit * lim: the
+        CFL scale and the top of the classifier's band."""
+        return self.k_unit * self.dealias_limit
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -313,8 +324,7 @@ class SpectralVelocity:
 
     def l2_norm(self) -> float:
         lat = self.lattice
-        return float(np.sqrt(
-            lat.box_length ** lat.dim * np.sum(np.abs(self.coeffs) ** 2)))
+        return float(np.sqrt(lat.volume * np.sum(np.abs(self.coeffs) ** 2)))
 
     def energy(self) -> float:
         return 0.5 * self.l2_norm() ** 2
@@ -359,11 +369,6 @@ class SobolevIndex:
             raise ValueError("Sobolev order must be finite")
 
 
-def build_lattice(n_per_dim: int, dim: int,
-                  box_length: float = 2.0 * np.pi) -> WavenumberLattice:
-    return WavenumberLattice(n_per_dim, dim, box_length)
-
-
 def leray_project(v: SpectralVelocity) -> SpectralVelocity:
     """Project onto divergence-free fields: u_hat -> u_hat - k (k.u_hat)/|k|^2."""
     lat = v.lattice
@@ -396,7 +401,7 @@ def _sobolev_norm(lat: WavenumberLattice, mag2: np.ndarray,
         w[nz] = lat.k_sq[nz] ** index.s
     else:
         w = (1.0 + lat.k_sq) ** index.s
-    return float(np.sqrt(lat.box_length ** lat.dim * np.sum(w * mag2)))
+    return float(np.sqrt(lat.volume * np.sum(w * mag2)))
 
 
 def inner_product(u: SpectralVelocity, v: SpectralVelocity) -> float:
@@ -404,5 +409,4 @@ def inner_product(u: SpectralVelocity, v: SpectralVelocity) -> float:
     if u.lattice != v.lattice:
         raise ValueError("lattice mismatch in inner product")
     lat = u.lattice
-    return float(lat.box_length ** lat.dim
-                 * np.sum((u.coeffs * np.conj(v.coeffs)).real))
+    return float(lat.volume * np.sum((u.coeffs * np.conj(v.coeffs)).real))

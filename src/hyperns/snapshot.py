@@ -16,7 +16,8 @@ import struct
 
 import numpy as np
 
-from .lattice import DIV_TOL, SpectralVelocity, WavenumberLattice
+from .lattice import (DIV_TOL, HERMITIAN_TOL, SpectralVelocity,
+                      WavenumberLattice)
 
 MAGIC = b"HYPF"
 VERSION = 1
@@ -113,7 +114,7 @@ def read_snapshot(path, lattice: WavenumberLattice | None = None):
     with np.errstate(over="ignore", invalid="ignore"):
         defect = u.hermitian_defect()
         div = u.divergence_max()
-    if not defect <= 1e-12:
+    if not defect <= HERMITIAN_TOL:
         raise SnapshotError(
             f"{path}: Hermitian symmetry violated ({defect:.3e} relative)")
     if not div <= DIV_TOL:

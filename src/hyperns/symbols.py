@@ -56,14 +56,19 @@ class MultiplierSymbol:
         return self.params.get("alpha")
 
 
-def power_symbol(lattice: WavenumberLattice, mu: float,
-                 alpha: float) -> MultiplierSymbol:
-    """m(k) = mu * |k|^{2 alpha}; requires mu > 0 and alpha > 1."""
+def check_power_law(mu: float, alpha: float) -> None:
+    """The arguments of :func:`power_symbol`: mu > 0 and alpha > 1."""
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if not alpha > 1:
-        raise ValueError(
-            f"alpha must exceed 1 (got {alpha}); use plain viscosity for alpha=1")
+        raise ValueError(f"alpha must exceed 1 (got {alpha}); use plain "
+                         "viscosity nu for Laplacian-order dissipation")
+
+
+def power_symbol(lattice: WavenumberLattice, mu: float,
+                 alpha: float) -> MultiplierSymbol:
+    """m(k) = mu * |k|^{2 alpha}; requires mu > 0 and alpha > 1."""
+    check_power_law(mu, alpha)
     # built in place, as m is below: grid-sized temporaries at set-up raised
     # the peak RSS of 3-D runs.  An overflow to inf is refused by the symbol.
     with np.errstate(over="ignore"):
@@ -119,8 +124,8 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
 
     One row per lattice mode (matched by integer kappa, every mode exactly
     once) or one row per shell radius (modes pick the nearest shell).
-    Wavenumbers must be finite.  Returns the raw complex values per mode
-    with no sign validation.
+    Wavenumbers, and the radius of a per-shell row, must be finite.
+    Returns the raw complex values per mode with no sign validation.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -142,7 +147,9 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
     if len(rows) == lattice.n_modes:
         ell = np.zeros(lattice.grid_shape, dtype=np.complex128)
         n = lattice.n_per_dim
-        kap = np.rint(data[:, :lattice.dim] / lattice.k_unit)
+        # an overflow to inf lies outside the lattice, refused below
+        with np.errstate(over="ignore"):
+            kap = np.rint(data[:, :lattice.dim] / lattice.k_unit)
         if np.any(np.abs(kap) > n // 2):
             raise ValueError(f"{path}: mode outside the lattice")
         idx = tuple(kap.T.astype(np.int64) % n)
@@ -152,7 +159,11 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
                 f"{path}: rows do not cover every lattice mode exactly once")
         ell[idx] = ell_vals
     else:
-        radii = np.sqrt(np.sum(data[:, :3] ** 2, axis=1)) / lattice.k_unit
+        # a huge finite wavenumber overflows its radius, refused below
+        with np.errstate(over="ignore"):
+            radii = np.sqrt(np.sum(data[:, :3] ** 2, axis=1)) / lattice.k_unit
+        if not np.all(np.isfinite(radii)):
+            raise ValueError(f"{path}: wavenumber radius overflows")
         order = np.argsort(radii)
         radii, ell_vals = radii[order], ell_vals[order]
         shell_r = lattice.k_mag.ravel() / lattice.k_unit

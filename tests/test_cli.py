@@ -41,13 +41,15 @@ def nan_table(tmp_path):
 
 def per_mode_table(tmp_path, lat, defect):
     """A per-mode table of ell = -|k|^2 on ``lat`` whose wavenumber columns
-    carry ``defect``: a NaN k1, or the mean mode's row naming the next
-    row's mode, which leaves the mean mode unlisted."""
+    carry ``defect``: a NaN k1, a k1 of 1e308, or the mean mode's row naming
+    the next row's mode, which leaves the mean mode unlisted."""
     k = lat.k.reshape(lat.dim, lat.n_modes)
     ell = -np.sum(k ** 2, axis=0)
     k = k.copy()
     if defect == "nan-wavenumber":
         k[0, 1] = np.nan
+    elif defect == "huge-mode":
+        k[0, 1] = 1e308
     else:
         k[:, 0] = k[:, 1]
     rows = ["k1,k2,k3,re_ell,im_ell"] + [
@@ -152,19 +154,32 @@ class TestRunCommand:
         assert "bad symbol" in err and "non-finite" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("defect", ["nan-wavenumber", "duplicate-mode"])
+    @pytest.mark.parametrize("defect", ["nan-wavenumber", "duplicate-mode",
+                                        "huge-mode", "huge-shell"])
     def test_bad_table_wavenumbers_are_config_error(self, tmp_path, capsys,
                                                     defect):
-        table = per_mode_table(tmp_path, WavenumberLattice(16, 2), defect)
-        text = CONFIG.replace("n = 32", "n = 16").replace(
-            "symbol = power", f"symbol = table:{table}")
+        # on a box of 4 pi, a k1 of 1e308 overflows kappa = k1 / k_unit;
+        # a per-shell k1 of 1e200 overflows the squared radius
+        box = 4 * math.pi if defect == "huge-mode" else 2 * math.pi
+        if defect == "huge-shell":
+            table = tmp_path / "huge-shell.csv"
+            table.write_text("k1,k2,k3,re_ell,im_ell\n0,0,0,0,0\n"
+                             "1e200,0,0,-1,0\n")
+        else:
+            table = per_mode_table(tmp_path, WavenumberLattice(16, 2, box),
+                                   defect)
+        text = CONFIG.replace("n = 32", f"n = 16\nbox_length = {box!r}"
+                              ).replace("symbol = power",
+                                        f"symbol = table:{table}")
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path, text)),
                      "--out", str(out)]) == 2
         err = assert_one_error_line(capsys, "config")
         assert "bad symbol" in err and str(table) in err
         assert ("non-finite wavenumber" in err
-                or "every lattice mode exactly once" in err)
+                or "every lattice mode exactly once" in err
+                or "mode outside the lattice" in err
+                or "radius overflows" in err)
         assert not out.exists()
 
     def test_missing_symbol_table_is_io_error(self, tmp_path, capsys):

@@ -18,7 +18,8 @@ from hyperns.dynamics import (Stepper, TrajectoryState, initial_condition,
 from hyperns.experiments import StateRecorder
 from hyperns.lattice import (SobolevIndex, SpectralVelocity,
                              WavenumberLattice, sobolev_norm)
-from hyperns.symbols import power_symbol
+from hyperns.symbols import (MultiplierSymbol, classify, kernel_symbol,
+                             power_symbol)
 
 
 class TestShellSpectrum:
@@ -196,6 +197,35 @@ class TestDefectSplit:
         assert not hasattr(sink, "states")
         assert sink.result() == defect_split(rec.times, rec.states, sym,
                                              cfg.nu, cfg.eps, cfg.eta)
+
+    def test_envelope_bound_of_a_kernel_symbol(self):
+        # m = sum_j k_j^2 |k|^{2 alpha - 2} = |k|^{2 alpha}, alpha = 5/4,
+        # built as a kernel: the bound constant comes from the classifier
+        cfg = SimConfig(nu=1e-2, eps=1e-3, symbol="power", alpha=1.25,
+                        n=32, dim=2, dt=5e-3, t_end=0.2, ic="random",
+                        amplitude=0.5, output_every=1)
+        lat = cfg.build_lattice()
+        sym = kernel_symbol(lat, [lat.k_mag ** 0.5] * lat.dim)
+        sink = DefectSplitSink(sym, cfg.nu, cfg.eps, cfg.eta)
+        _, records = run(cfg, sinks=(sink,), symbol=sym)
+        split = sink.result()
+        assert split.bound_origin == "envelope-derived"
+        assert split.bound_constant == classify(
+            sym, (lat.k_unit, lat.k_dealias)).c1_hat
+        hyper = np.array([r.hyper_dissipation_rate for r in records])
+        ts = np.array([r.t for r in records])
+        total = float(np.trapezoid(hyper, ts))
+        assert split.low + split.high == pytest.approx(total, rel=1e-10)
+        assert split.low <= split.bound_rhs
+
+    def test_refuses_a_symbol_that_is_not_hyperdissipative(self):
+        lat = WavenumberLattice(32, 2)
+        order_zero = MultiplierSymbol(lat, -np.ones(lat.grid_shape),
+                                      "tabulated")
+        assert classify(order_zero, (lat.k_unit, lat.k_dealias)
+                        ).tag == "order_zero"
+        with pytest.raises(ValueError, match="hyperdissipative"):
+            DefectSplitSink(order_zero, 1e-2, 1e-3, 0.5)
 
     def test_eta_validation(self):
         times, states, sym = self._single_mode_run(0.1, 0.01, 1.5, 4)

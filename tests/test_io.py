@@ -1,12 +1,15 @@
 """Config grammar, canonicalization/hashing, snapshot persistence."""
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperns
 from conftest import bandlimited_field
 from hyperns.config import (ConfigError, SimConfig, canonical_text,
                             config_hash, parse_config)
@@ -85,6 +88,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(MINIMAL + f"{key} = 3\n")
 
+    def test_lattice_and_power_law_rules_are_not_restated(self):
+        # SimConfig asks the lattice and the symbol module for these rules
+        text = (Path(hyperns.__file__).parent / "config.py").read_text()
+        for rule in (r"% 2", r"must be even", r"\(2, 3\)", r"box_length\s*>",
+                     r"alpha\s*>\s*1", r"mu\s*>\s*0", r"must exceed"):
+            assert not re.search(rule, text), rule
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\n" + MINIMAL + "\n# trailer\n"
         assert parse_config(text) == parse_config(MINIMAL)
@@ -104,6 +114,11 @@ class TestCanonicalization:
         assert config_hash(other) == config_hash(cfg)
         changed = parse_config(MINIMAL.replace("nu = 1", "nu = 2"))
         assert config_hash(changed) != config_hash(cfg)
+
+    def test_hash_is_pinned(self):
+        # run directories are named by this hash: any drift renames them
+        assert config_hash(parse_config(MINIMAL)) == (
+            "3b49fa924a7636e52ab3450e005927e28c4b3fb25c3e81209d838f064a9f743f")
 
 
 class TestSnapshot:

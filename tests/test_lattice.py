@@ -1,5 +1,6 @@
 """Spectral substrate: lattice construction, transforms, projection,
 dealiasing, and Sobolev norms."""
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,24 +10,24 @@ import hyperns
 from conftest import bandlimited_field
 from hyperns.dynamics import taylor_green
 from hyperns.lattice import (DIV_TOL, SobolevIndex, SpectralVelocity,
-                             WavenumberLattice, build_lattice, dealias,
-                             hermitian_defect, inner_product, leray_project,
-                             negate_kappa, sobolev_norm)
+                             WavenumberLattice, dealias, hermitian_defect,
+                             inner_product, leray_project, negate_kappa,
+                             sobolev_norm)
 
 
 class TestBuildLattice:
     def test_small_2d(self):
-        lat = build_lattice(4, 2, 2.0 * np.pi)
+        lat = WavenumberLattice(4, 2, 2.0 * np.pi)
         assert sorted(np.unique(lat.kappa)) == [-2, -1, 0, 1]
         assert lat.k_unit == pytest.approx(1.0)
 
     def test_3d_mode_count(self):
-        lat = build_lattice(8, 3, 2.0 * np.pi)
+        lat = WavenumberLattice(8, 3, 2.0 * np.pi)
         assert lat.n_modes == 512
         assert np.max(np.abs(lat.kappa)) == 4  # Nyquist row
 
     def test_half_box(self):
-        lat = build_lattice(6, 2, np.pi)
+        lat = WavenumberLattice(6, 2, np.pi)
         assert lat.k_unit == pytest.approx(2.0)
         # mode kappa=(1,0) has |k| = 2
         assert lat.k_mag[1, 0] == pytest.approx(2.0)
@@ -36,12 +37,12 @@ class TestBuildLattice:
         (8, 2, 0.0), (8, 2, -1.0)])
     def test_rejects_bad_arguments(self, n, dim, box):
         with pytest.raises(ValueError):
-            build_lattice(n, dim, box)
+            WavenumberLattice(n, dim, box)
 
 
 class TestTransforms:
     def test_cosine_coefficients(self):
-        lat = build_lattice(16, 2)
+        lat = WavenumberLattice(16, 2)
         phys = np.cos(lat.x[0])
         c = lat.forward(phys)
         assert c[1, 0] == pytest.approx(0.5, abs=1e-14)
@@ -50,7 +51,7 @@ class TestTransforms:
         assert np.max(np.abs(c)) < 1e-14
 
     def test_constant_field(self):
-        lat = build_lattice(8, 2)
+        lat = WavenumberLattice(8, 2)
         c = lat.forward(np.full(lat.grid_shape, 3.0))
         assert c[0, 0] == pytest.approx(3.0)
         c[0, 0] = 0.0
@@ -58,26 +59,26 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n,dim", [(16, 2), (8, 3)])
     def test_round_trip(self, n, dim):
-        lat = build_lattice(n, dim)
+        lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(0)
         phys = rng.standard_normal(lat.grid_shape)
         back = lat.inverse(lat.forward(phys))
         assert np.max(np.abs(back - phys)) <= 1e-12 * np.max(np.abs(phys))
 
     def test_inverse_rejects_non_hermitian(self):
-        lat = build_lattice(8, 2)
+        lat = WavenumberLattice(8, 2)
         c = np.zeros((2,) + lat.grid_shape, dtype=complex)
         c[0, 1, 0] = 1.0  # no conjugate partner
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             SpectralVelocity(lat, c).to_physical()
 
     def test_shape_mismatch(self):
-        lat = build_lattice(8, 2)
+        lat = WavenumberLattice(8, 2)
         with pytest.raises(ValueError, match="shape"):
             lat.forward(np.zeros((4, 4)))
 
     def test_inverse_takes_the_half_layout(self):
-        lat = build_lattice(8, 2)
+        lat = WavenumberLattice(8, 2)
         with pytest.raises(ValueError, match="shape"):
             lat.inverse(np.zeros((8, 8), dtype=complex))
 
@@ -86,7 +87,7 @@ class TestTransforms:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_band_forward_is_the_full_transform_on_the_band(self, dim, n,
                                                             lead):
-        lat = build_lattice(n, dim)
+        lat = WavenumberLattice(n, dim)
         x = np.random.default_rng(n).standard_normal(lead + lat.grid_shape)
         full, band = lat.forward(x), lat.forward(x, dealiased=True)
         kept = np.broadcast_to(lat.half(lat.dealias_mask), full.shape)
@@ -98,7 +99,7 @@ class TestTransforms:
     @pytest.mark.parametrize("n", [10, 12, 16])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_band_inverse_reads_only_the_band(self, dim, n, lead):
-        lat = build_lattice(n, dim)
+        lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(n)
         h = lat.forward(rng.standard_normal(lead + lat.grid_shape))
         limited = h * lat.half(lat.dealias_mask)
@@ -115,8 +116,20 @@ class TestTransforms:
                         or "numpy.fft" in p.read_text())]
         assert callers == []
 
+    def test_only_the_lattice_states_its_weight_and_band_edge(self):
+        # the Parseval weight L^dim and the band edge k_unit * dealias_limit
+        # are the properties volume and k_dealias
+        src = Path(hyperns.__file__).parent
+        rules = (r"box_length\s*\*\*",
+                 r"dealias_limit\s*\*\s*[\w.]*k_unit",
+                 r"k_unit\s*\*\s*[\w.]*dealias_limit")
+        restating = [p.name for p in sorted(src.glob("*.py"))
+                     if p.name != "lattice.py"
+                     and any(re.search(r, p.read_text()) for r in rules)]
+        assert restating == []
+
     def test_parseval(self):
-        lat = build_lattice(32, 2)
+        lat = WavenumberLattice(32, 2)
         u = bandlimited_field(lat, 1, 8)
         phys = u.to_physical()
         dx = lat.box_length / lat.n_per_dim
@@ -126,7 +139,7 @@ class TestTransforms:
 
 class TestLerayProjection:
     def test_parallel_mode_killed(self):
-        lat = build_lattice(8, 3)
+        lat = WavenumberLattice(8, 3)
         c = np.zeros((3,) + lat.grid_shape, dtype=complex)
         c[0, 1, 0, 0] = 1.0  # u_hat parallel to k = (k_unit, 0, 0)
         c[0, -1, 0, 0] = 1.0
@@ -134,7 +147,7 @@ class TestLerayProjection:
         assert np.max(np.abs(out.coeffs)) < 1e-15
 
     def test_orthogonal_mode_unchanged(self):
-        lat = build_lattice(8, 3)
+        lat = WavenumberLattice(8, 3)
         c = np.zeros((3,) + lat.grid_shape, dtype=complex)
         c[1, 1, 0, 0] = 1.0
         c[1, -1, 0, 0] = 1.0
@@ -143,7 +156,7 @@ class TestLerayProjection:
 
     @pytest.mark.parametrize("n,dim", [(16, 2), (8, 3)])
     def test_idempotent_and_divergence_free(self, n, dim):
-        lat = build_lattice(n, dim)
+        lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(7)
         c = (rng.standard_normal((dim,) + lat.grid_shape)
              + 1j * rng.standard_normal((dim,) + lat.grid_shape))
@@ -157,7 +170,7 @@ class TestLerayProjection:
 
 class TestDealias:
     def test_n8_band(self):
-        lat = build_lattice(8, 3)
+        lat = WavenumberLattice(8, 3)
         c = np.zeros((3,) + lat.grid_shape, dtype=complex)
         c[0, 3, 0, 0] = 1.0
         c[0, -3, 0, 0] = 1.0
@@ -168,7 +181,7 @@ class TestDealias:
         assert out.coeffs[1, 2, 1, 0] == 1.0
 
     def test_n12_band(self):
-        lat = build_lattice(12, 2)
+        lat = WavenumberLattice(12, 2)
         c = np.zeros((2,) + lat.grid_shape, dtype=complex)
         c[0, 3, 0] = 1.0
         c[0, -3, 0] = 1.0
@@ -179,7 +192,7 @@ class TestDealias:
         assert out.coeffs[1, 4, 0] == 0.0
 
     def test_idempotent(self):
-        lat = build_lattice(16, 2)
+        lat = WavenumberLattice(16, 2)
         u = bandlimited_field(lat, 3, 5)
         once = dealias(u)
         twice = dealias(once)
@@ -189,7 +202,7 @@ class TestDealias:
 class TestSobolevNorm:
     def test_single_mode_pair(self):
         # u_hat = 1/2 at +/-kappa with |k| = 2: H^1 norm is 2 * L2 norm
-        lat = build_lattice(16, 2)
+        lat = WavenumberLattice(16, 2)
         c = np.zeros((2,) + lat.grid_shape, dtype=complex)
         c[1, 2, 0] = 0.5
         c[1, -2, 0] = 0.5
@@ -200,14 +213,14 @@ class TestSobolevNorm:
         assert h1 == pytest.approx(2.0 * l2, rel=1e-13)
 
     def test_s_zero_equals_l2(self):
-        lat = build_lattice(16, 2)
+        lat = WavenumberLattice(16, 2)
         u = bandlimited_field(lat, 4, 5)
         for variant in ("homogeneous", "inhomogeneous"):
             assert sobolev_norm(u, SobolevIndex(0.0, variant)) == pytest.approx(
                 u.l2_norm(), rel=1e-12)
 
     def test_brute_force_oracle(self):
-        lat = build_lattice(16, 2)
+        lat = WavenumberLattice(16, 2)
         u = bandlimited_field(lat, 5, 5)
         n = lat.n_per_dim
         total_h = 0.0
@@ -230,13 +243,13 @@ class TestSobolevNorm:
 
 class TestInvariants:
     def test_hermitian_preserved(self):
-        lat = build_lattice(16, 2)
+        lat = WavenumberLattice(16, 2)
         u = bandlimited_field(lat, 6, 5)
         for out in (leray_project(u), dealias(u)):
             assert out.hermitian_defect() <= 1e-12
 
     def test_mean_and_nyquist_pinned(self):
-        lat = build_lattice(8, 2)
+        lat = WavenumberLattice(8, 2)
         c = np.ones((2,) + lat.grid_shape, dtype=complex)
         u = SpectralVelocity(lat, c)
         assert u.coeffs[0, 0, 0] == 0.0
@@ -244,7 +257,7 @@ class TestInvariants:
         assert np.all(u.coeffs[:, :, -4] == 0.0)
 
     def test_mean_and_nyquist_pinned_3d(self):
-        lat = build_lattice(8, 3)
+        lat = WavenumberLattice(8, 3)
         c = np.ones((3,) + lat.grid_shape, dtype=complex)
         u = SpectralVelocity(lat, c)
         assert np.all(u.coeffs[:, 0, 0, 0] == 0.0)
@@ -259,7 +272,7 @@ class TestInvariants:
     @pytest.mark.parametrize("n,dim", [(16, 2), (32, 2), (16, 3)])
     def test_divergence_measure_is_scale_relative(self, n, dim):
         # modes at roundoff level do not count at full weight
-        lat = build_lattice(n, dim)
+        lat = WavenumberLattice(n, dim)
         u = taylor_green(lat)
         assert u.divergence_max() <= 1e-14
         # a divergent part of 1e-9 of the field is still caught
@@ -268,7 +281,7 @@ class TestInvariants:
         assert SpectralVelocity(lat, c).divergence_max() > DIV_TOL
 
     def test_half_layout_arrays(self):
-        lat = build_lattice(8, 3)
+        lat = WavenumberLattice(8, 3)
         assert lat.half_modes == 5
         assert np.array_equal(lat.half_k, lat.k[..., :5])
         assert np.array_equal(lat.half_k_sq, lat.k_sq[..., :5])
@@ -278,7 +291,7 @@ class TestInvariants:
         assert np.all(lat.half_leray[(slice(None),) + (0,) * 3] == 0.0)
 
     def test_inner_product_consistency(self):
-        lat = build_lattice(16, 2)
+        lat = WavenumberLattice(16, 2)
         u = bandlimited_field(lat, 8, 5)
         assert inner_product(u, u) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
 
@@ -310,7 +323,7 @@ class TestLayouts:
 
     @pytest.mark.parametrize("n,dim", CASES)
     def test_full_layout_is_exactly_hermitian(self, n, dim):
-        lat = build_lattice(n, dim)
+        lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(3)
         shape = (dim,) + lat.half(lat.k_sq).shape
         h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -321,7 +334,7 @@ class TestLayouts:
 
     @pytest.mark.parametrize("n,dim", CASES)
     def test_full_layout_inverts_half_on_hermitian_fields(self, n, dim):
-        lat = build_lattice(n, dim)
+        lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(4)
         c = (rng.standard_normal((dim,) + lat.grid_shape)
              + 1j * rng.standard_normal((dim,) + lat.grid_shape))
@@ -330,7 +343,7 @@ class TestLayouts:
         assert np.array_equal(full.view(float), u.coeffs.view(float))
 
     def test_half_is_a_view(self):
-        lat = build_lattice(8, 3)
+        lat = WavenumberLattice(8, 3)
         c = np.zeros((3,) + lat.grid_shape, dtype=complex)
         assert np.shares_memory(lat.half(c), c)
         assert lat.half(c).shape == (3, 8, 8, 5)
