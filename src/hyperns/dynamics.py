@@ -224,18 +224,17 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
 def initial_condition(cfg: SimConfig,
                       lattice: WavenumberLattice) -> SpectralVelocity:
     kind, _, arg = cfg.ic.partition(":")
-    if kind in PRESET_DIMS:
-        check_preset_dim(kind, lattice.dim)
-        u = taylor_green(lattice)
-    elif kind == "random":
-        u = random_field(lattice, cfg.seed, cfg.sigma, cfg.k_c, cfg.amplitude)
-    elif kind == "snapshot":
+    if kind == "random":  # projected and dealiased already
+        return random_field(lattice, cfg.seed, cfg.sigma, cfg.k_c,
+                            cfg.amplitude)
+    if kind == "snapshot":
         from .snapshot import read_snapshot
         u, _ = read_snapshot(arg, lattice)
         return dealias(u)
-    else:
+    if kind not in PRESET_DIMS:
         raise ValueError(f"unknown initial condition {cfg.ic!r}")
-    return dealias(leray_project(u))
+    check_preset_dim(kind, lattice.dim)
+    return dealias(leray_project(taylor_green(lattice)))
 
 
 def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None):
