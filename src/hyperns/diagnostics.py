@@ -51,7 +51,8 @@ def _shell_energies(lat, mag2: np.ndarray) -> np.ndarray:
     """E(k_s) per integer shell of a per-mode |u_hat|^2 array."""
     shells = lat.shell_index
     n_shell = int(shells.max()) + 1
-    return np.bincount(shells.ravel(), weights=(0.5 * lat.volume * mag2).ravel(),
+    return np.bincount(shells.ravel(),
+                       weights=(0.5 * lat.volume * mag2).ravel(),
                        minlength=n_shell)
 
 

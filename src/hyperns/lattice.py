@@ -5,7 +5,8 @@ Conventions fixed here and used by every other module:
 * forward transform: ``u_hat(kappa) = (1/n^dim) * sum_x u(x) exp(-i k.x)``,
   so a unit-amplitude cosine carries coefficient 1/2 at +/-kappa; the one
   transform pair is ``forward``/``inverse`` (``rfftn``/``irfftn``);
-* Parseval: ``||u||_L2^2 = L^dim * sum_k |u_hat(k)|^2``;
+* Parseval: ``||u||_L2^2 = L^dim * sum_k |u_hat(k)|^2``, with the weight
+  L^dim given by ``WavenumberLattice.volume``;
 * the mean mode u_hat(0) is pinned to zero;
 * Nyquist rows (kappa_i = -n/2) are zeroed on construction of any
   velocity field;
@@ -74,7 +75,7 @@ class WavenumberLattice:
 
     @property
     def volume(self) -> float:
-        """L^dim, the Parseval weight: ||u||_L2^2 = L^dim sum_k |u_hat(k)|^2."""
+        """L^dim, the Parseval weight: ||u||^2 = L^dim sum_k |u_hat(k)|^2."""
         return self.box_length ** self.dim
 
     @property
