@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, SimConfig, _config_input, canonical_text,
-                     config_hash, parse_config)
+from .config import (ConfigError, SimConfig, canonical_text, config_hash,
+                     parse_config)
 from .diagnostics import (DefectSplitSink, DiagnosticsRecord, energy_budget,
                           linear_damping_curve, mode_decay_curve)
 from .dynamics import NumericalError, run
@@ -54,6 +54,19 @@ def write_csv(path, header: list, rows) -> None:
 
 def _load_config(path) -> SimConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
+
+
+@contextlib.contextmanager
+def _config_input(what: str):
+    """Report a ValueError raised on the user's input as a ConfigError.
+
+    Never wrap a snapshot read: SnapshotError is a ValueError too, and its
+    exit 4 would turn into exit 2.
+    """
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{what}: {err}") from None
 
 
 @contextlib.contextmanager

@@ -1,7 +1,6 @@
 """Run configuration: key=value parsing, validation, canonical echo, hashing."""
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import typing
@@ -13,19 +12,6 @@ from . import symbols as _symbols
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
-
-
-@contextlib.contextmanager
-def _config_input(what: str):
-    """Report a ValueError raised on the user's input as a ConfigError.
-
-    Never wrap a snapshot read: SnapshotError is a ValueError too, and its
-    exit 4 would turn into exit 2.
-    """
-    try:
-        yield
-    except ValueError as err:
-        raise ConfigError(f"{what}: {err}") from None
 
 
 # each Taylor-Green preset names the dimension it needs
@@ -82,8 +68,6 @@ class SimConfig:
             raise ConfigError(f"nu must be positive, got {self.nu}")
         if self.eps < 0:
             raise ConfigError(f"eps must be nonnegative, got {self.eps}")
-        with _config_input("lattice"):
-            self.build_lattice()
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end > 0:
@@ -99,16 +83,20 @@ class SimConfig:
         kind = self.symbol.split(":", 1)[0]
         if kind not in ("power", "kernel", "table"):
             raise ConfigError(f"unknown symbol kind {self.symbol!r}")
-        if kind == "power":
-            if math.isnan(self.alpha):
-                raise ConfigError("symbol=power requires alpha")
-            with _config_input("power symbol"):
-                _symbols.check_power_law(self.mu, self.alpha)
-        elif ":" not in self.symbol:
+        if kind == "power" and math.isnan(self.alpha):
+            raise ConfigError("symbol=power requires alpha")
+        if kind != "power" and ":" not in self.symbol:
             raise ConfigError(f"symbol {self.symbol!r} needs a :PATH argument")
         ic_kind = self.ic.split(":", 1)[0]
         if ic_kind not in PRESETS and ic_kind != "snapshot":
             raise ConfigError(f"unknown initial condition {self.ic!r}")
+        # the lattice and the power law state their own rules
+        try:
+            self.build_lattice()
+            if kind == "power":
+                _symbols.check_power_law(self.mu, self.alpha)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     def build_lattice(self) -> WavenumberLattice:
         return WavenumberLattice(self.n, self.dim, self.box_length)
