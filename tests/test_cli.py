@@ -176,10 +176,10 @@ class TestRunCommand:
                      "--out", str(out)]) == 2
         err = assert_one_error_line(capsys, "config")
         assert "bad symbol" in err and str(table) in err
-        assert ("non-finite wavenumber" in err
-                or "every lattice mode exactly once" in err
-                or "mode outside the lattice" in err
-                or "radius overflows" in err)
+        assert {"nan-wavenumber": "non-finite wavenumber",
+                "duplicate-mode": "every lattice mode exactly once",
+                "huge-mode": "mode outside the lattice",
+                "huge-shell": "radius overflows"}[defect] in err
         assert not out.exists()
 
     def test_missing_symbol_table_is_io_error(self, tmp_path, capsys):
