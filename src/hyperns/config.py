@@ -53,6 +53,7 @@ class SimConfig:
     eta: float = 0.5
 
     def __post_init__(self):
+        check_preset_dim(self.ic, self.dim)
         for key, val in vars(self).items():
             # an unset alpha is NaN: only power symbols need one
             if isinstance(val, float) and not math.isfinite(val) and not (
@@ -145,9 +146,6 @@ def parse_config(text: str) -> SimConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    # a SimConfig built in code may still pair a preset with another
-    # dimension, and initial_condition then refuses it
-    check_preset_dim(values["ic"], values["dim"])
     return SimConfig(**values)
 
 

@@ -116,10 +116,11 @@ class DefectSplit:
 class DefectSplitSink:
     """Run sink splitting eps * int <Mu,u> dt at the frequency eta * R_eps.
 
-    Keeps each sample's low, high and ||grad u||^2 sums, not its state;
-    :meth:`result` integrates them by the trapezoid rule.  The certified
-    bound uses C = mu for power symbols; otherwise the envelope constant
-    c1_hat from the classifier, flagged "envelope-derived".
+    Keeps each sample's low and high sums and the record's ||grad u||^2,
+    not its state; :meth:`result` integrates them by the trapezoid rule.
+    The certified bound uses C = mu for power symbols; otherwise the
+    envelope constant c1_hat from the classifier, flagged
+    "envelope-derived".
     """
 
     def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
@@ -144,16 +145,13 @@ class DefectSplitSink:
         self.low_mask = lat.k_mag <= eta * self.crossover
         self.rows = []  # (t, low, high, ||grad u||^2) per sample
 
-    def __call__(self, state, record) -> None:
-        self._add(state.t, state.mag2)
-
-    def _add(self, t: float, mag2: np.ndarray) -> None:
-        lat = self.sym.lattice
-        vol = lat.volume
-        wm = self.sym.m * mag2
-        self.rows.append((float(t), vol * float(np.sum(wm[self.low_mask])),
+    def __call__(self, state, record: DiagnosticsRecord) -> None:
+        vol = self.sym.lattice.volume
+        wm = self.sym.m * state.mag2
+        # 2 * enstrophy undoes an exact scaling by 0.5: it is ||grad u||^2
+        self.rows.append((float(state.t), vol * float(np.sum(wm[self.low_mask])),
                           vol * float(np.sum(wm[~self.low_mask])),
-                          vol * float(np.sum(lat.k_sq * mag2))))
+                          2.0 * record.enstrophy))
 
     def result(self) -> DefectSplit:
         ts, lo, hi, grad = np.array(self.rows).reshape(-1, 4).T
@@ -168,9 +166,11 @@ class DefectSplitSink:
 def defect_split(times, states, sym: MultiplierSymbol, nu: float, eps: float,
                  eta: float) -> DefectSplit:
     """:class:`DefectSplitSink` over SpectralVelocity samples at ``times``."""
+    from .dynamics import TrajectoryState
     sink = DefectSplitSink(sym, nu, eps, eta)
-    for t, u in zip(times, states):
-        sink._add(t, u.mag2())
+    for i, (t, u) in enumerate(zip(times, states)):
+        state = TrajectoryState(u=u, t=t, step_index=i)
+        sink(state, make_record(state, nu, eps, sym))
     return sink.result()
 
 

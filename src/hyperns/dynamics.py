@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import PRESET_DIMS, SimConfig, check_preset_dim
+from .config import SimConfig
 from .diagnostics import DiagnosticsRecord, attach_budget_residuals, make_record
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
                       _sobolev_norm, dealias, leray_project)
@@ -127,21 +127,15 @@ class Stepper:
     """
 
     def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
-                 dt: float, nonlinear: bool = True):
+                 dt: float):
         self.lattice = lattice = sym.lattice
-        self.sym = sym
-        self.nu = nu
-        self.eps = eps
         self.dt = dt
-        self.nonlinear = nonlinear
         m = lattice.half(sym.m)
         self.e_half = _decay(lattice.half_k_sq, m, nu, eps, dt / 2.0)
         self.e_full = _decay(lattice.half_k_sq, m, nu, eps, dt)
 
     def _rhs(self, h: np.ndarray):
         """-B of half-layout coefficients, and the physical velocity."""
-        if not self.nonlinear:
-            return np.zeros_like(h), None
         d, phys = _half_nonlinear(self.lattice, h)
         d *= -1j
         return d, phys
@@ -157,12 +151,10 @@ class Stepper:
         c0 = lat.half(state.u.coeffs)
         e1, e2 = self.e_half, self.e_full
         n1, phys = self._rhs(c0)
-        cfl = 0.0
-        if self.nonlinear:
-            # the first stage's physical field is the state's own
-            cfl = self.cfl(phys)
-            if cfl > CFL_LIMIT:
-                raise CFLError(cfl, dt * CFL_LIMIT / cfl, state=state)
+        # the first stage's physical field is the state's own
+        cfl = self.cfl(phys)
+        if cfl > CFL_LIMIT:
+            raise CFLError(cfl, dt * CFL_LIMIT / cfl, state=state)
         n2 = self._rhs(e1 * (c0 + 0.5 * dt * n1))[0]
         n3 = self._rhs(e1 * c0 + 0.5 * dt * n2)[0]
         n4 = self._rhs(e2 * c0 + dt * e1 * n3)[0]
@@ -231,9 +223,7 @@ def initial_condition(cfg: SimConfig,
         from .snapshot import read_snapshot
         u, _ = read_snapshot(arg, lattice)
         return dealias(u)
-    if kind not in PRESET_DIMS:
-        raise ValueError(f"unknown initial condition {cfg.ic!r}")
-    check_preset_dim(kind, lattice.dim)
+    # SimConfig has refused an unknown ic and a preset of another dimension
     return dealias(leray_project(taylor_green(lattice)))
 
 

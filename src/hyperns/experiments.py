@@ -11,6 +11,7 @@ from .diagnostics import DefectSplitSink
 from .dynamics import NumericalError, nonlinear_term, run
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
                       sobolev_norm)
+from .snapshot import SnapshotError
 from .symbols import apply_multiplier, classify, kernel_symbol, power_symbol
 
 TAIL_FRACTION_LIMIT = 1e-8
@@ -216,7 +217,8 @@ def alpha_comparison(base_cfg: SimConfig, alpha_list,
 
     Per alpha, in the given order: sup_t enstrophy, time-integrated
     hyperdissipation, final shell spectrum, and the defect split at the
-    configured eta.  Per-alpha failures are reported without aborting.
+    configured eta.  Per-alpha failures are reported without aborting; a
+    SnapshotError, from the initial condition all alphas share, is raised.
     """
     alpha_list = [float(a) for a in alpha_list]
 
@@ -228,6 +230,8 @@ def alpha_comparison(base_cfg: SimConfig, alpha_list,
             if eps > 0:
                 sinks = (DefectSplitSink(sym, cfg.nu, eps, cfg.eta),)
             _, records = run(cfg, sinks=sinks, symbol=sym)
+        except SnapshotError:  # the initial condition every alpha shares
+            raise
         except (NumericalError, ValueError) as err:  # report, keep going
             return {"error": f"{type(err).__name__}: {err}"}
         times = np.array([r.t for r in records])

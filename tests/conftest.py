@@ -7,15 +7,16 @@ from hyperns.lattice import (SpectralVelocity, WavenumberLattice, dealias,
                              leray_project)
 
 
-def stream_function_field(lattice, seed):
-    """2-D field u = (d_y psi, -d_x psi) whose divergence is exactly zero
-    in floating point (k1*k2 - k2*k1 = 0 mode by mode)."""
-    assert lattice.dim == 2
+def shear_field(lattice, seed, amplitude=1.0):
+    """Shear flow u = (f(x_2, ...), 0, ...) with a random f, dealiased and
+    scaled to L2 norm ``amplitude``.  It is divergence-free and (u.grad)u
+    = 0, so the step's nonlinear term vanishes on it."""
     rng = np.random.default_rng(seed)
-    psi = lattice.full_layout(
-        lattice.forward(rng.standard_normal(lattice.grid_shape)))
-    coeffs = np.stack([1j * lattice.k[1] * psi, -1j * lattice.k[0] * psi])
-    return dealias(SpectralVelocity(lattice, coeffs))
+    phys = np.zeros((lattice.dim,) + lattice.grid_shape)
+    phys[0] = rng.standard_normal(lattice.grid_shape[1:])
+    u = dealias(SpectralVelocity.from_physical(lattice, phys))
+    u.coeffs *= amplitude / u.l2_norm()
+    return u
 
 
 def bandlimited_field(lattice, seed, kmax, amplitude=1.0):

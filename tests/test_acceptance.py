@@ -6,7 +6,7 @@ asserting, so a ``pytest -s`` run doubles as a sign-off report.
 import numpy as np
 import pytest
 
-from conftest import bandlimited_field, brute_force_nonlinear, stream_function_field
+from conftest import bandlimited_field, brute_force_nonlinear, shear_field
 from hyperns.cli import main
 from hyperns.config import SimConfig
 from hyperns.diagnostics import defect_split, energy_budget
@@ -57,19 +57,19 @@ def reference_run():
 
 class TestCriterion1:
     def test_linear_exactness(self):
-        # nonlinear term vanishes identically on a single-shear field, so the
-        # integrating-factor step must reproduce the exact decay at t=1
+        # the nonlinear term is exactly 0 on a shear flow u = (f(x_2), 0),
+        # so the integrating-factor step must reproduce the exact decay at t=1
         cfg = SimConfig(nu=0.5, eps=0.1, symbol="power", alpha=1.25,
                         n=32, dim=2, dt=0.05, t_end=1.0, ic="random",
                         output_every=20)
         lat = WavenumberLattice(32, 2)
-        u0 = stream_function_field(lat, 1)
+        u0 = shear_field(lat, 1)
         sym = power_symbol(lat, 1.0, 1.25)
         decay = np.exp(-(cfg.nu * lat.k_sq + cfg.eps * sym.m) * cfg.t_end)
         exact = u0.coeffs * decay
 
         from hyperns.dynamics import Stepper, TrajectoryState
-        stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt, nonlinear=False)
+        stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt)
         st = TrajectoryState(u=u0.copy(), t=0.0, step_index=0)
         for _ in range(20):
             st = stepper.step(st)

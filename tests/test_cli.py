@@ -294,13 +294,18 @@ class TestResumedRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(built) == 1
 
-    def test_mismatched_snapshot_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep-eps", "--eps", "1e-2,3e-3,1e-3,1e-4", "--s", "3",
+                  "--T", "0.004"],
+        ["compare-alpha", "--alpha", "1.25,1.5"]], ids=lambda c: c[0])
+    def test_mismatched_snapshot_exit_code(self, tmp_path, capsys, command):
         u = random_field(WavenumberLattice(16, 2), 5, 2.0, 3.0, 0.5)
         snap = tmp_path / "start.hypf"
         write_snapshot(u, snap)
         cfg = self.resume_config(tmp_path, snap)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out)]) == 4
+        argv = [command[0], str(cfg), *command[1:], "--out", str(out)]
+        assert main(argv) == 4
         assert "lattice" in assert_one_error_line(capsys, "io")
         manifest = failed_manifest(out, "SnapshotError")
         assert manifest["files"] == []

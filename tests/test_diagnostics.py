@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bandlimited_field, stream_function_field
+from conftest import bandlimited_field, shear_field
 from hyperns import experiments
 from hyperns.cli import main
 from hyperns.config import SimConfig
@@ -61,9 +61,8 @@ class TestEnergyBudget:
     def _linear_records(self, nu, eps, dt, n_steps, sample_every=1):
         lat = WavenumberLattice(32, 2)
         sym = power_symbol(lat, 1.0, 1.25)
-        u = stream_function_field(lat, 4)
-        u.coeffs *= 0.5 / u.l2_norm()
-        stp = Stepper(sym, nu, eps, dt, nonlinear=False)
+        u = shear_field(lat, 4, amplitude=0.5)
+        stp = Stepper(sym, nu, eps, dt)
         st = TrajectoryState(u=u, t=0.0, step_index=0)
         records = [make_record(st, nu, eps, sym)]
         for i in range(n_steps):
@@ -137,7 +136,7 @@ class TestDefectSplit:
         c[1, kappa0, 0] = 0.5
         c[1, -kappa0, 0] = 0.5
         u = SpectralVelocity(lat, c)
-        stp = Stepper(sym, nu, eps, 1e-2, nonlinear=False)
+        stp = Stepper(sym, nu, eps, 1e-2)
         st = TrajectoryState(u=u, t=0.0, step_index=0)
         times, states = [0.0], [st.u.copy()]
         for _ in range(20):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import bandlimited_field, brute_force_nonlinear, stream_function_field
+from conftest import bandlimited_field, brute_force_nonlinear, shear_field
 from hyperns.config import SimConfig
 from hyperns.dynamics import (CFLError, Stepper, TrajectoryState,
                               initial_condition, linear_propagator,
@@ -36,6 +36,17 @@ class TestNonlinearTerm:
         u = SpectralVelocity(lat, c)
         b = nonlinear_term(u)
         assert np.max(np.abs(b.coeffs)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n,rel", [(12, 0.0), (16, 0.0), (32, 0.0),
+                                       (10, 1e-15)])
+    def test_shear_flow_has_no_nonlinearity(self, n, dim, rel):
+        # u_1 = f(x_2, ...), u_j = 0 otherwise: (u.grad)u = 0, which the
+        # transforms keep exactly; radix-5 ones (n = 10) leave ~5e-18
+        lat = WavenumberLattice(n, dim)
+        u = shear_field(lat, n)
+        b = nonlinear_term(u)
+        assert np.max(np.abs(b.coeffs)) <= rel * np.max(np.abs(u.coeffs))
 
     def test_taylor_green_is_pure_gradient(self):
         lat = WavenumberLattice(16, 2)
@@ -110,8 +121,8 @@ class TestStep:
         cfg = base_config(nu=0.5, eps=0.1, dt=0.05)
         lat = cfg.build_lattice()
         sym = cfg.build_symbol(lat)
-        u0 = stream_function_field(lat, 2)
-        stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt, nonlinear=False)
+        u0 = shear_field(lat, 2)
+        stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt)
         st = stepper.step(TrajectoryState(u=u0.copy(), t=0.0, step_index=0))
         expect = u0.coeffs * linear_propagator(sym, cfg.nu, cfg.eps, cfg.dt)
         occ = np.abs(expect) > 0
@@ -268,9 +279,8 @@ class TestRun:
             run(cfg, symbol=power_symbol(WavenumberLattice(16, 2), 1.0, 1.25))
 
     def test_ic_validation(self):
-        cfg = base_config(ic="taylor-green-3d")
         with pytest.raises(ValueError, match="dim"):
-            initial_condition(cfg, cfg.build_lattice())
+            base_config(ic="taylor-green-3d")
 
 
 class TestSmallnessProbe:

@@ -2,6 +2,7 @@
 import math
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,9 @@ class TestParseConfig:
             "ic = taylor-green-2d", f"ic = {ic}")
         with pytest.raises(ConfigError, match="needs dim"):
             parse_config(text)
+        # a SimConfig built in code is held to the same rule
+        with pytest.raises(ConfigError, match="needs dim"):
+            replace(parse_config(MINIMAL), ic=ic, dim=dim)
 
     @pytest.mark.parametrize("key", ["s", "nonlinear"])
     def test_removed_keys_are_unknown(self, key):
