@@ -167,7 +167,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_eps(args) -> int:
     cfg = _load_config(args.config)
-    # before sweep_eps_inputs builds it too, so that its error names the symbol
+    # vanishing_eps_sweep builds it again; this build's error names the symbol
     with _config_input(f"bad symbol {cfg.symbol!r}"):
         cfg.build_symbol()
     with _config_input("--eps"):
@@ -244,6 +244,11 @@ def cmd_linear_spectra(args) -> int:
         alphas = [float(v) for v in args.alpha.split(",")]
     # (kind, file, abscissa, column prefix, values, curves), built before a write
     with _config_input("linear-spectra"):
+        if not (args.kmax >= 0 and args.points >= 1
+                and 0 <= args.tmax < np.inf):
+            raise ValueError("need --kmax >= 0, --points >= 1 and a finite "
+                             f"--tmax >= 0, got {args.kmax}, {args.points} "
+                             f"and {args.tmax:g}")
         k = np.arange(0, args.kmax + 1, dtype=float)
         tables = [("damping", "damping_rates.csv", "k", "lambda_alpha", k,
                    [linear_damping_curve(args.nu, args.mu, a, k)

@@ -181,21 +181,30 @@ def linear_damping_curve(nu: float, mu: float, alpha: float, k_list):
     power is the scalar libm ``pow`` and does not depend on numpy's SIMD
     dispatch (whose vector ``pow`` can be 1 ulp off, e.g. on AVX-512).
     The result has the shape of ``k_list``, including the 0-d case.
+    ValueError on a negative or non-finite wavenumber, and on a non-finite
+    nu, mu, alpha or rate.
     """
     k = np.asarray(k_list, dtype=float)
-    if np.any(k < 0):
-        raise ValueError("wavenumbers must be nonnegative")
+    if not np.all((k >= 0) & np.isfinite(k)):
+        raise ValueError("wavenumbers must be nonnegative and finite")
     nu, mu, p = float(nu), float(mu), 2.0 * float(alpha)
-    lam = [nu * x ** 2 + mu * x ** p for x in k.ravel().tolist()]
+    try:
+        lam = [nu * x ** 2 + mu * x ** p for x in k.ravel().tolist()]
+    except OverflowError:  # a power of Python floats raises, not inf
+        lam = [math.inf]
+    if not all(map(math.isfinite, [nu, mu, p] + lam)):
+        raise ValueError(f"nu, mu, alpha and the rates must be finite, got "
+                         f"nu={nu:g}, mu={mu:g}, alpha={alpha:g}")
     return np.array(lam, dtype=float).reshape(k.shape)
 
 
 def mode_decay_curve(nu: float, mu: float, alpha: float, k0: float, t_list):
-    """E_alpha(t; k0) = exp(-2 (nu k0^2 + mu k0^(2 alpha)) t)."""
+    """E_alpha(t; k0) = exp(-2 lambda_alpha(k0) t), with the damping rate
+    and the argument checks of :func:`linear_damping_curve`."""
     t = np.asarray(t_list, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("times must be nonnegative")
-    rate = nu * k0 ** 2 + mu * k0 ** (2.0 * alpha)
+    if not np.all((t >= 0) & np.isfinite(t)):
+        raise ValueError("times must be nonnegative and finite")
+    rate = float(linear_damping_curve(nu, mu, alpha, k0))
     # np.exp, not math.exp: the two differ by an ulp at some t, and the
     # criterion-9 oracle is element-wise np.exp.
     return np.exp(-2.0 * rate * t)

@@ -227,24 +227,29 @@ def initial_condition(cfg: SimConfig,
     return dealias(leray_project(taylor_green(lattice)))
 
 
-def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None):
-    """Integrate from t0 (0 or a snapshot's time tag) to t0 + t_end.
+def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
+        u0: SpectralVelocity | None = None):
+    """Integrate from t0 (0 or the start's time tag) to t0 + t_end.
 
-    Returns (final state, records).  ``symbol``, if given, replaces the
-    configured one.  ``sinks`` are callables invoked as sink(state, record)
-    at every sample (every ``output_every`` steps, plus the initial and
-    final states).  The record and the sinks of one sample share that
-    state's ``mag2``, computed once.  Budget residuals are attached to the
-    records after the loop.  On a numerical failure the partial series is
-    attached to the raised :class:`NumericalError`.
+    Returns (final state, records).  ``symbol`` and ``u0``, if given,
+    replace the configured symbol and initial condition: a study builds
+    once what all its runs share.  Both must lie on the config's lattice,
+    and ``u0`` is not modified.  ``sinks`` are callables invoked as
+    sink(state, record) at every sample (every ``output_every`` steps, plus
+    the initial and final states).  The record and the sinks of one sample
+    share that state's ``mag2``, computed once.  Budget residuals are
+    attached to the records after the loop.  On a numerical failure the
+    partial series is attached to the raised :class:`NumericalError`.
     """
     sym = cfg.build_symbol() if symbol is None else symbol
     # the symbol's lattice already holds the cached wavevector arrays
     lattice = sym.lattice
-    if lattice != cfg.build_lattice():
-        raise ValueError(
-            f"symbol lattice {lattice} does not match config lattice")
-    u0 = initial_condition(cfg, lattice)
+    for what, given in (("symbol", sym), ("u0", u0)):
+        if given is not None and given.lattice != cfg.build_lattice():
+            raise ValueError(f"{what} lattice {given.lattice} does not "
+                             "match config lattice")
+    if u0 is None:
+        u0 = initial_condition(cfg, lattice)
     stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt)
     n_steps = int(round(cfg.t_end / cfg.dt))
     # snapshot initial conditions resume from their stored time tag

@@ -8,10 +8,9 @@ import numpy as np
 
 from .config import SimConfig
 from .diagnostics import DefectSplitSink
-from .dynamics import NumericalError, nonlinear_term, run
+from .dynamics import NumericalError, initial_condition, nonlinear_term, run
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
                       sobolev_norm)
-from .snapshot import SnapshotError
 from .symbols import apply_multiplier, classify, kernel_symbol, power_symbol
 
 TAIL_FRACTION_LIMIT = 1e-8
@@ -157,12 +156,10 @@ def sweep_eps_inputs(base_cfg: SimConfig, eps_list, s: float, T: float):
     """The checked arguments of a sweep, built before any run.
 
     Returns (the eps values of sweep_eps_values, the config with t_end = T,
-    the inhomogeneous H^{s-1} index, the config's symbol); ValueError on a
-    bad argument or symbol.
+    the inhomogeneous H^{s-1} index); ValueError on a bad argument.
     """
     eps_values, cfg_T = sweep_eps_values(eps_list), replace(base_cfg, t_end=T)
-    return (eps_values, cfg_T, SobolevIndex(s - 1.0, "inhomogeneous"),
-            cfg_T.build_symbol())
+    return eps_values, cfg_T, SobolevIndex(s - 1.0, "inhomogeneous")
 
 
 def _check_resolved(state, record) -> None:
@@ -178,17 +175,20 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
                         max_workers: int | None = None) -> SweepResult:
     """Fit the convergence rate of u^eps toward the eps=0 reference.
 
-    Checks its arguments (sweep_eps_inputs), runs the eps=0 reference, then
-    each eps of sweep_eps_values(eps_list);
-    err(eps) = sup over samples of the inhomogeneous H^{s-1} distance.
-    NumericalError if the reference's spectral tail fraction exceeds 1e-8,
-    the discrete stand-in for smoothness on [0, T].  All runs share one
-    symbol.  ``max_workers`` is accepted and ignored: the runs go one after
-    another in the calling thread.
+    Checks its arguments (sweep_eps_inputs), builds the symbol and the
+    initial condition all runs share, runs the eps=0 reference, then each
+    eps of sweep_eps_values(eps_list); err(eps) = sup over samples of the
+    inhomogeneous H^{s-1} distance.  NumericalError if the reference's
+    spectral tail fraction exceeds 1e-8, the discrete stand-in for
+    smoothness on [0, T].  ``max_workers`` is accepted and ignored: the
+    runs go one after another in the calling thread.
     """
-    eps_list, cfg_T, idx, sym = sweep_eps_inputs(base_cfg, eps_list, s, T)
+    eps_list, cfg_T, idx = sweep_eps_inputs(base_cfg, eps_list, s, T)
+    sym = cfg_T.build_symbol()
+    u0 = initial_condition(cfg_T, sym.lattice)
     ref_rec = StateRecorder()
-    run(replace(cfg_T, eps=0.0), sinks=(_check_resolved, ref_rec), symbol=sym)
+    run(replace(cfg_T, eps=0.0), sinks=(_check_resolved, ref_rec), symbol=sym,
+        u0=u0)
 
     def one(eps):
         errs = []
@@ -198,7 +198,7 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
             diff = SpectralVelocity(uref.lattice, state.u.coeffs - uref.coeffs, uref.t)
             errs.append(sobolev_norm(diff, idx))
 
-        run(replace(cfg_T, eps=eps), sinks=(distance,), symbol=sym)
+        run(replace(cfg_T, eps=eps), sinks=(distance,), symbol=sym, u0=u0)
         return float(max(errs))
 
     errors = [one(eps) for eps in eps_list]
@@ -217,10 +217,12 @@ def alpha_comparison(base_cfg: SimConfig, alpha_list,
 
     Per alpha, in the given order: sup_t enstrophy, time-integrated
     hyperdissipation, final shell spectrum, and the defect split at the
-    configured eta.  Per-alpha failures are reported without aborting; a
-    SnapshotError, from the initial condition all alphas share, is raised.
+    configured eta.  The initial condition all alphas share is built once,
+    first, and its failure is raised; per-alpha failures are reported
+    without aborting.
     """
     alpha_list = [float(a) for a in alpha_list]
+    u0 = initial_condition(base_cfg, base_cfg.build_lattice())
 
     def one(alpha):
         try:
@@ -229,9 +231,7 @@ def alpha_comparison(base_cfg: SimConfig, alpha_list,
             sinks = ()
             if eps > 0:
                 sinks = (DefectSplitSink(sym, cfg.nu, eps, cfg.eta),)
-            _, records = run(cfg, sinks=sinks, symbol=sym)
-        except SnapshotError:  # the initial condition every alpha shares
-            raise
+            _, records = run(cfg, sinks=sinks, symbol=sym, u0=u0)
         except (NumericalError, ValueError) as err:  # report, keep going
             return {"error": f"{type(err).__name__}: {err}"}
         times = np.array([r.t for r in records])
@@ -266,6 +266,7 @@ def kernel_interpolation_study(base_cfg: SimConfig, families) -> list:
         raise ValueError("need a family of >= 3 kernels")
     lattice = base_cfg.build_lattice()
     band = (lattice.k_unit, lattice.k_dealias)
+    u0 = initial_condition(base_cfg, lattice)
     report = []
     for name, builder in families:
         entry = {"name": name, "refused": False, "classification": None,
@@ -278,7 +279,8 @@ def kernel_interpolation_study(base_cfg: SimConfig, families) -> list:
             cls = entry["classification"] = classify(sym, band)
             if cls.tag == "hyperdissipative":
                 # sampled every step: the residual is a trapezoid over samples
-                _, records = run(replace(base_cfg, output_every=1), symbol=sym)
+                _, records = run(replace(base_cfg, output_every=1), symbol=sym,
+                                 u0=u0)
                 entry["budget_residual"] = max(r.budget_residual for r in records)
         report.append(entry)
     return report

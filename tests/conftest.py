@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: field constructors and the
-brute-force nonlinear-term oracle (direct summation, no FFT)."""
+"""Shared helpers for the test suite: field constructors, the
+brute-force nonlinear-term oracle (direct summation, no FFT) and a call
+counter."""
 import numpy as np
 
 from hyperns.dynamics import random_field
@@ -50,3 +51,17 @@ def brute_force_nonlinear(u):
         for i in range(dim):
             np.add.at(out[i], tgt, coef[i, a] * f)
     return leray_project(SpectralVelocity(lat, out, u.t))
+
+
+def calls_of(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; returns the list of the argument
+    tuples it is called with."""
+    calls = []
+    plain = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

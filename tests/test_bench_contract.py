@@ -136,7 +136,9 @@ def test_traced_sweep_records_the_study_spans():
         tracer.uninstall()
     assert res.values.tolist() == eps[::-1]
     totals = tracer.totals()
+    # each trajectory goes through the probed run, from one shared start
     assert totals["dynamics.run"]["count"] == 1 + len(eps)
+    assert totals["dynamics.initial_condition"]["count"] == 1
     samples = 1 + 20   # output_every = 1 over 20 steps of dt = 1e-3
     assert totals["experiments.spectral_tail_fraction"]["count"] == samples
     assert totals["lattice.sobolev_norm"]["count"] == len(eps) * samples

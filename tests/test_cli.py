@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from hyperns import experiments
+from conftest import calls_of
+from hyperns import dynamics, experiments, snapshot
 from hyperns.cli import main
 from hyperns.config import config_hash, parse_config
 from hyperns.dynamics import random_field
@@ -226,17 +227,25 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("k_c", ["1e-200", "1e-160"])
-    def test_degenerate_random_field_exit_code(self, tmp_path, capsys, k_c):
-        # k_c > 0 passes the config check, but the spectrum underflows to 0
+    @pytest.mark.parametrize("command, k_c", [
+        (["run"], "1e-200"), (["run"], "1e-160"),
+        (["sweep-eps", "--eps", "1e-2,3e-3,1e-3,1e-4", "--s", "3", "--T",
+          "0.02"], "1e-200"),
+        (["compare-alpha", "--alpha", "1.25,1.5"], "1e-200")],
+        ids=["1e-200", "1e-160", "sweep-eps", "compare-alpha"])
+    def test_degenerate_random_field_exit_code(self, tmp_path, capsys,
+                                               command, k_c):
+        # k_c > 0 passes the config check, but the spectrum underflows to 0;
+        # the field is the start every run of a study shares
         text = CONFIG.replace("n = 32", "n = 16") + f"k_c = {k_c}\n"
         out = tmp_path / "out"
-        assert main(["run", str(write_config(tmp_path, text)),
-                     "--out", str(out)]) == 3
+        assert main([command[0], str(write_config(tmp_path, text)),
+                     *command[1:], "--out", str(out)]) == 3
         assert "degenerate" in assert_one_error_line(capsys, "numerical")
         manifest = failed_manifest(out, "NumericalError")
         assert manifest["files"] == []
         assert manifest["failure"]["step_index"] is None
+        assert [p.name for p in run_dir_of(out).iterdir()] == ["manifest.json"]
 
 
 def read_columns(path):
@@ -442,10 +451,25 @@ class TestLinearSpectra:
         assert all(float(v) == 1.0 for v in first[1:])
 
     @pytest.mark.parametrize("args", [
-        ["--alpha", "x"], ["--alpha", "1.25", "--k0", "2", "--tmax", "-1"]],
-        ids=["alpha", "negative-tmax"])
+        ["--alpha", "x"],
+        ["--alpha", "1.25", "--k0", "2", "--tmax", "-1"],
+        ["--alpha", "1.25", "--k0", "2", "--tmax", "nan"],
+        ["--alpha", "1.25", "--k0", "2", "--tmax", "inf"],
+        ["--alpha", "1.25", "--k0", "-2"],     # (-2) ** 2.5 is complex
+        ["--alpha", "1.25", "--k0", "nan"],
+        ["--alpha", "1.25", "--nu", "nan"],
+        ["--alpha", "1.25", "--mu", "inf"],
+        ["--alpha", "nan"],
+        ["--alpha", "1000"],                   # 4.0 ** 2000 overflows
+        ["--alpha", "1.25", "--nu", "1e308"],  # an infinite rate
+        ["--alpha", "1.25", "--kmax", "-1"],
+        ["--alpha", "1.25", "--k0", "2", "--points", "0"]],
+        ids=["alpha", "negative-tmax", "nan-tmax", "inf-tmax", "negative-k0",
+             "nan-k0", "nan-nu", "inf-mu", "nan-alpha", "overflowing-alpha",
+             "overflowing-nu", "negative-kmax", "no-points"])
     def test_bad_argument_is_config_error(self, tmp_path, capsys, args):
         out = tmp_path / "tables"
+        # a --nu, --mu or --kmax in args replaces the one given here
         assert main(["linear-spectra", "--nu", "1", "--mu", "1",
                      "--kmax", "4", *args, "--out", str(out)]) == 2
         assert_one_error_line(capsys, "config")
@@ -477,6 +501,26 @@ class TestSweepCommands:
         lines = (rd / "compare_alpha.csv").read_text().splitlines()
         assert lines[0].startswith("alpha,")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("ic", ["random", "snapshot"])
+    @pytest.mark.parametrize("command", [
+        ["sweep-eps", "--eps", "1e-2,3e-3,1e-3,1e-4", "--s", "3", "--T",
+         "0.02"],
+        ["compare-alpha", "--alpha", "1.25,1.5,2"]], ids=lambda c: c[0])
+    def test_study_builds_its_start_once(self, tmp_path, monkeypatch, command,
+                                         ic):
+        text = CONFIG + "k_c = 1.5\n"
+        if ic == "snapshot":
+            snap = tmp_path / "start.hypf"
+            write_snapshot(random_field(WavenumberLattice(32, 2), 3, 2.0, 1.5,
+                                        0.5), snap)
+            text = text.replace("ic = random", f"ic = snapshot:{snap}")
+        reads = calls_of(monkeypatch, snapshot, "read_snapshot")
+        fields = calls_of(monkeypatch, dynamics, "random_field")
+        assert main([command[0], str(write_config(tmp_path, text)),
+                     *command[1:], "--out", str(tmp_path / "out")]) == 0
+        assert (len(reads), len(fields)) == ((1, 0) if ic == "snapshot"
+                                             else (0, 1))
 
     def test_under_resolved_reference_exit_code(self, tmp_path, capsys):
         text = CONFIG + "k_c = 12\n"

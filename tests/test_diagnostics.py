@@ -359,6 +359,14 @@ class TestLinearCurves:
         assert lam[1, 1] == 0.3 * 16.0 + 0.7 * math.pow(4.0, 2.5)
         with pytest.raises(ValueError):
             linear_damping_curve(1.0, 1.0, 1.25, [1.0, -1.0])
+        for bad in ([math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="wavenumbers"):
+                linear_damping_curve(1.0, 1.0, 1.25, bad)
+            with pytest.raises(ValueError, match="times"):
+                mode_decay_curve(1.0, 1.0, 1.25, 8.0, bad)
+        # 1 ** nan is 1 in Python floats, so a NaN alpha needs its own check
+        with pytest.raises(ValueError, match="alpha"):
+            mode_decay_curve(1.0, 1.0, math.nan, 1.0, [0.0])
 
     def test_decay_monotone_in_alpha(self):
         vals = [mode_decay_curve(1.0, 1.0, a, 8.0, [0.05])[0]

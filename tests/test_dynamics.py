@@ -1,4 +1,6 @@
 """Galerkin dynamics: nonlinear term, integrating-factor stepping, runner."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,23 @@ class TestRun:
                 == 2 * plain[0].hyper_dissipation_rate)
         with pytest.raises(ValueError, match="lattice"):
             run(cfg, symbol=power_symbol(WavenumberLattice(16, 2), 1.0, 1.25))
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_given_start_replaces_the_configured_one(self, dim, n):
+        cfg = base_config(dim=dim, n=n, t_end=0.02, seed=5)
+        final, plain = run(cfg)
+        u0 = initial_condition(cfg, cfg.build_lattice())
+        u0.t = 0.25
+        before = u0.coeffs.tobytes()
+        for _ in range(2):
+            shifted, records = run(cfg, u0=u0)
+            assert u0.coeffs.tobytes() == before and u0.t == 0.25
+        assert np.array_equal(shifted.u.coeffs, final.u.coeffs)
+        assert records[0].t == 0.25
+        assert [r.energy for r in records] == [r.energy for r in plain]
+        other = replace(cfg, box_length=np.pi)
+        with pytest.raises(ValueError, match="u0 lattice"):
+            run(cfg, u0=initial_condition(other, other.build_lattice()))
 
     def test_ic_validation(self):
         with pytest.raises(ValueError, match="dim"):

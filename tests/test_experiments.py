@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import bandlimited_field
-from hyperns import experiments
+from conftest import bandlimited_field, calls_of
+from hyperns import dynamics, experiments
 from hyperns.config import ConfigError, SimConfig
 from hyperns.diagnostics import shell_spectrum
 from hyperns.dynamics import NumericalError, run, taylor_green
@@ -207,9 +207,10 @@ class TestStreamingSweep:
     def test_bad_s_or_T_stops_before_the_reference(self, monkeypatch, s, T,
                                                    error):
         calls = calls_of_run(monkeypatch)
+        fields = calls_of(monkeypatch, dynamics, "random_field")
         with pytest.raises(error):
             vanishing_eps_sweep(base_config(**self.CFG), self.EPS, s=s, T=T)
-        assert calls == []
+        assert calls == [] and fields == []
 
     def test_eps_values_checked_and_sorted(self):
         assert sweep_eps_values(self.EPS) == sorted(self.EPS)
@@ -253,8 +254,9 @@ class TestAlphaComparison:
 
 
 class TestKernelStudy:
-    def test_interpolating_family(self):
+    def test_interpolating_family(self, monkeypatch):
         cfg = base_config(n=32, t_end=0.05, output_every=1)
+        fields = calls_of(monkeypatch, dynamics, "random_field")
 
         def gaussian(lat):
             return [np.exp(-lat.k_sq)] * lat.dim
@@ -262,26 +264,32 @@ class TestKernelStudy:
         def constant(lat):
             return [np.ones(lat.grid_shape)] * lat.dim
 
-        def riesz_half(lat):
-            c = np.zeros(lat.grid_shape)
-            nz = lat.k_mag > 0
-            c[nz] = lat.k_mag[nz] ** 0.5
-            return [c] * lat.dim
+        def riesz(power):
+            def builder(lat):
+                c = np.zeros(lat.grid_shape)
+                nz = lat.k_mag > 0
+                c[nz] = lat.k_mag[nz] ** power
+                return [c] * lat.dim
+            return builder
 
         def negative(lat):
             return [-np.ones(lat.grid_shape)] * lat.dim
 
         report = kernel_interpolation_study(
             cfg, [("gaussian", gaussian), ("constant", constant),
-                  ("riesz-1.25", riesz_half), ("negative", negative)])
+                  ("riesz-1.25", riesz(0.5)), ("riesz-1.5", riesz(1.0)),
+                  ("negative", negative)])
         by_name = {e["name"]: e for e in report}
         assert by_name["gaussian"]["classification"].tag == "order_zero"
         assert by_name["constant"]["classification"].tag == "unclassified"
-        riesz = by_name["riesz-1.25"]["classification"]
-        assert riesz.tag == "hyperdissipative"
-        assert riesz.alpha_hat == pytest.approx(1.25, abs=0.02)
-        assert by_name["riesz-1.25"]["budget_residual"] <= 1e-6
+        for name, alpha in (("riesz-1.25", 1.25), ("riesz-1.5", 1.5)):
+            cls = by_name[name]["classification"]
+            assert cls.tag == "hyperdissipative"
+            assert cls.alpha_hat == pytest.approx(alpha, abs=0.02)
+            assert by_name[name]["budget_residual"] <= 1e-6
         assert by_name["negative"]["refused"]
+        # the two runs share one initial condition
+        assert len(fields) == 1
 
     def test_requires_three_kernels(self):
         cfg = base_config()
