@@ -3,8 +3,8 @@
 Time stepping is integrating-factor RK4: the stiff diagonal linear part
 exp(-(nu k^2 + eps m(k)) t) is applied exactly, classical RK4 handles the
 dealiased pseudospectral nonlinear term.  A step runs on raw coefficient
-arrays in the rfftn half layout (see :mod:`hyperns.lattice`) and returns
-the new state in the full layout.
+arrays in the two-thirds band layout (see :mod:`hyperns.lattice` and
+:class:`Stepper`) and returns the new state in the full layout.
 """
 from __future__ import annotations
 
@@ -60,48 +60,47 @@ class TrajectoryState:
         return self.u.mag2()
 
 
-def _half_nonlinear(lat: WavenumberLattice, h: np.ndarray):
-    """Dealiased, projected div(u tensor u) / i of half-layout coefficients.
+def _band_nonlinear(lat: WavenumberLattice, b: np.ndarray):
+    """Dealiased, projected div(u tensor u) / i of band-layout coefficients.
 
-    Returns (d, phys): B(dealias(u)) = i d, and the physical velocity field
-    of dealias(u).  One band inverse transform of the field and one band
-    forward transform of each product u_i u_j, whose transform enters rows
-    i and j: only the two-thirds band of ``h`` is read, and only the band
-    of the products is computed.
+    Returns (d, phys): B(u) = i d in the band layout, and the physical
+    velocity field of u.  One band inverse transform of the field and one
+    band forward transform of each product u_i u_j, whose transform enters
+    rows i and j; the transforms keep the half layout, so the field is
+    scattered into it before and the products gathered from it after.
     """
     dim = lat.dim
+    d = np.zeros_like(b)
     # the array stays positional: the benchmark's tracer counts the points
     # of args[1]
-    phys = lat.inverse(h, dealiased=True)
+    phys = lat.inverse(lat.scatter_band(b), dealiased=True)
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     prod = np.empty((len(pairs),) + lat.grid_shape)
     for p, (i, j) in enumerate(pairs):
         np.multiply(phys[i], phys[j], out=prod[p])
-    t = lat.forward(prod, dealiased=True)
-    k = lat.half_dealias_k
-    d = np.zeros_like(h)
+    t = lat.gather_band(lat.forward(prod, dealiased=True))
+    k = lat.band_k
     for p, (i, j) in enumerate(pairs):
         d[i] += k[j] * t[p]
         if i != j:
             d[j] += k[i] * t[p]
     # Leray projection d - k (k.d) / |k|^2
-    d -= lat.half_leray * np.sum(lat.half_k * d, axis=0)
+    d -= lat.band_leray * np.sum(k * d, axis=0)
     return d, phys
 
 
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     """B(u) = dealias(P(div(u tensor u))), computed pseudospectrally.
 
-    Only the two-thirds band of the input's half layout is read, so
-    ``nonlinear_term(u)`` is B(dealias(u)).  The input is expected
-    divergence-free and Hermitian; the output is dealiased, both of those,
-    and exactly energy-neutral under the two-thirds rule.  This is the
-    kernel the time stepper runs.
+    Only the two-thirds band of the input is read, so ``nonlinear_term(u)``
+    is B(dealias(u)).  The input is expected divergence-free and Hermitian;
+    the output is dealiased, both of those, and exactly energy-neutral
+    under the two-thirds rule.  This is the kernel the time stepper runs.
     """
     lat = u.lattice
-    d, _ = _half_nonlinear(lat, lat.half(u.coeffs))
+    d, _ = _band_nonlinear(lat, lat.gather_band(lat.half(u.coeffs)))
     d *= 1j
-    return SpectralVelocity(lat, lat.full_layout(d), u.t)
+    return SpectralVelocity(lat, lat.full_layout(lat.scatter_band(d)), u.t)
 
 
 def _decay(k_sq: np.ndarray, m: np.ndarray, nu: float, eps: float,
@@ -119,46 +118,62 @@ def linear_propagator(sym: MultiplierSymbol, nu: float, eps: float,
 
 class Stepper:
     """One-trajectory integrator on its symbol's lattice, with precomputed
-    half-layout propagators.
+    propagators.
 
-    The nonlinear stages read only the two-thirds band of their input, as
-    :func:`nonlinear_term` does: a state that is not dealiased is advected
-    as dealias(u), while the propagator decays every mode.
+    A step gathers the state's two-thirds band once (the band layout of
+    :mod:`hyperns.lattice`) and runs the four nonlinear stages, their RK
+    combinations and the Leray projection on band arrays; each stage
+    scatters its input into the half layout for the band inverse transform
+    and gathers the band of the products' forward transform.  The new
+    state is the state times the full-step propagator, over the half
+    layout, plus the RK increment of the stages scattered from the band:
+    off the band the stages are zero, so a state that is not dealiased is
+    advected as dealias(u), while the propagator decays every mode.  The
+    step returns the new state in the full layout.
     """
 
     def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
                  dt: float):
         self.lattice = lattice = sym.lattice
         self.dt = dt
-        m = lattice.half(sym.m)
-        self.e_half = _decay(lattice.half_k_sq, m, nu, eps, dt / 2.0)
-        self.e_full = _decay(lattice.half_k_sq, m, nu, eps, dt)
+        k_sq, m = lattice.half_k_sq, lattice.half(sym.m)
+        self.e_full = _decay(k_sq, m, nu, eps, dt)
+        self.e_full_band = lattice.gather_band(self.e_full)
+        # the half-step propagator acts on band arrays only
+        self.e_half_band = _decay(lattice.gather_band(k_sq),
+                                  lattice.gather_band(m), nu, eps, dt / 2.0)
 
-    def _rhs(self, h: np.ndarray):
-        """-B of half-layout coefficients, and the physical velocity."""
-        d, phys = _half_nonlinear(self.lattice, h)
+    def _rhs(self, b: np.ndarray):
+        """-B of band-layout coefficients, and the physical velocity."""
+        d, phys = _band_nonlinear(self.lattice, b)
         d *= -1j
         return d, phys
 
     def cfl(self, phys: np.ndarray) -> float:
         """Advective CFL number of a physical velocity field."""
-        vmax = float(np.max(np.sqrt(np.sum(phys ** 2, axis=0))))
+        # sqrt is monotone and correctly rounded: the root of the maximum
+        # is the maximum of the roots
+        vmax = math.sqrt(float(np.max(np.sum(phys ** 2, axis=0))))
         return self.dt * vmax * self.lattice.k_dealias
 
     def step(self, state: TrajectoryState) -> TrajectoryState:
         dt = self.dt
         lat = self.lattice
         c0 = lat.half(state.u.coeffs)
-        e1, e2 = self.e_half, self.e_full
-        n1, phys = self._rhs(c0)
+        b0 = lat.gather_band(c0)
+        e1, e2 = self.e_half_band, self.e_full_band
+        n1, phys = self._rhs(b0)
         # the first stage's physical field is the state's own
         cfl = self.cfl(phys)
         if cfl > CFL_LIMIT:
             raise CFLError(cfl, dt * CFL_LIMIT / cfl, state=state)
-        n2 = self._rhs(e1 * (c0 + 0.5 * dt * n1))[0]
-        n3 = self._rhs(e1 * c0 + 0.5 * dt * n2)[0]
-        n4 = self._rhs(e2 * c0 + dt * e1 * n3)[0]
-        c1 = e2 * c0 + (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
+        n2 = self._rhs(e1 * (b0 + 0.5 * dt * n1))[0]
+        n3 = self._rhs(e1 * b0 + 0.5 * dt * n2)[0]
+        n4 = self._rhs(e2 * b0 + dt * e1 * n3)[0]
+        db = (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
+        # off the band the stages are zero and the propagator alone acts;
+        # the scattered increment adds +0.0 there, as the stages did
+        c1 = self.e_full * c0 + lat.scatter_band(db)
         if not np.all(np.isfinite(c1)):
             raise NumericalError("NaN/Inf in solution after step",
                                  state=state)

@@ -17,13 +17,20 @@ Conventions fixed here and used by every other module:
 
 Velocity fields, snapshots and every public function use the full layout:
 coefficients of shape (dim, n, ..., n) in ``numpy.fft.fftn`` order.  The
-transforms and the time stepper work in the ``rfftn`` half layout, which
-keeps only the modes 0 <= kappa_last <= n/2 of the last axis (n/2 + 1
-entries, ``numpy.fft.rfftfreq`` order); the other half follows from
-Hermitian symmetry u_hat(-kappa) = conj(u_hat(kappa)).  Only this module
-relates the layouts (:func:`negate_kappa`, ``half``, ``full_layout``,
-``pinned_modes``) or calls ``numpy.fft``; it also holds the half layout's
-arrays (``half_*``).
+transforms work in the ``rfftn`` half layout, which keeps only the modes
+0 <= kappa_last <= n/2 of the last axis (n/2 + 1 entries,
+``numpy.fft.rfftfreq`` order); the other half follows from Hermitian
+symmetry u_hat(-kappa) = conj(u_hat(kappa)).  The time stepper works in
+the band layout, the modes the two-thirds rule keeps, |kappa_i| <= lim =
+``dealias_limit``: shape (dim, 2 lim + 1, ..., lim + 1), rows kappa =
+0..lim then -lim..-1 on every axis but the last, kappa_last = 0..lim on
+the last.  ``gather_band`` copies it out of a half-layout array,
+``scatter_band`` writes it back into a zeroed one; the stepper scatters
+before each band ``inverse`` and gathers after each band ``forward``.
+Only this module relates the layouts (:func:`negate_kappa`, ``half``,
+``full_layout``, ``gather_band``, ``scatter_band``, ``pinned_modes``) or
+calls ``numpy.fft``; it also holds the arrays of the half and band
+layouts (``half_k_sq``, ``band_k``, ``band_leray``).
 """
 from __future__ import annotations
 
@@ -177,22 +184,55 @@ class WavenumberLattice:
         return out
 
     @cached_property
-    def half_k(self) -> np.ndarray:
-        return np.ascontiguousarray(self.half(self.k))
-
-    @cached_property
     def half_k_sq(self) -> np.ndarray:
         return np.ascontiguousarray(self.half(self.k_sq))
 
-    @cached_property
-    def half_leray(self) -> np.ndarray:
-        """k / |k|^2 in the half layout, zero at the mean mode."""
-        return self.half_k / self.half(self.k_sq_pinned)
+    # -- two-thirds band layout ---------------------------------------------
+
+    @property
+    def band_shape(self) -> tuple:
+        """Grid shape of the band layout: 2 lim + 1 rows on every axis but
+        the last, which keeps its lim + 1 entries kappa = 0..lim."""
+        lim = self.dealias_limit
+        return (2 * lim + 1,) * (self.dim - 1) + (lim + 1,)
+
+    def _band_blocks(self):
+        """(band index, half-layout index) of each block of the band: per
+        axis but the last, the rows kappa = 0..lim, then -lim..-1."""
+        lim = self.dealias_limit
+        dst = (slice(0, lim + 1), slice(lim + 1, 2 * lim + 1))
+        last = (slice(0, lim + 1),)
+        for combo in itertools.product(zip(dst, self._band_rows),
+                                       repeat=self.dim - 1):
+            band, half = zip(*combo)
+            yield (...,) + band + last, (...,) + half + last
+
+    def gather_band(self, h: np.ndarray) -> np.ndarray:
+        """The band layout of half-layout ``h`` (any leading axes): a
+        contiguous copy of the modes the two-thirds rule keeps."""
+        out = np.empty(h.shape[:-self.dim] + self.band_shape, dtype=h.dtype)
+        for band, half in self._band_blocks():
+            out[band] = h[half]
+        return out
+
+    def scatter_band(self, b: np.ndarray) -> np.ndarray:
+        """Half-layout array holding band-layout ``b`` on the band and +0.0
+        everywhere else (any leading axes)."""
+        shape = b.shape[:-self.dim] + self.grid_shape[:-1] + (self.half_modes,)
+        out = np.zeros(shape, dtype=b.dtype)
+        for band, half in self._band_blocks():
+            out[half] = b[band]
+        return out
 
     @cached_property
-    def half_dealias_k(self) -> np.ndarray:
-        """k on the kept modes of the two-thirds rule, zero elsewhere."""
-        return self.half_k * self.half(self.dealias_mask)
+    def band_k(self) -> np.ndarray:
+        """k in the band layout."""
+        return self.gather_band(self.half(self.k))
+
+    @cached_property
+    def band_leray(self) -> np.ndarray:
+        """k / |k|^2 in the band layout, zero at the mean mode."""
+        return self.band_k / self.gather_band(self.half(self.k_sq_pinned))
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -374,9 +414,12 @@ def leray_project(v: SpectralVelocity) -> SpectralVelocity:
     """Project onto divergence-free fields: u_hat -> u_hat - k (k.u_hat)/|k|^2."""
     lat = v.lattice
     k = lat.k
+    # the result is the field's copy, and the gradient part is subtracted
+    # from it in place
+    out = SpectralVelocity(lat, v.coeffs, v.t)
     kdotu = np.sum(k * v.coeffs, axis=0)
-    out = v.coeffs - k * (kdotu / lat.k_sq_pinned)
-    return SpectralVelocity(lat, out, v.t)
+    out.coeffs -= k * (kdotu / lat.k_sq_pinned)
+    return out
 
 
 def dealias(v: SpectralVelocity) -> SpectralVelocity:

@@ -117,6 +117,23 @@ class TestLinearPropagator:
         with pytest.raises(ValueError, match="dt"):
             linear_propagator(sym, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n,dim", [(16, 2), (10, 2), (12, 3)])
+    def test_a_step_decays_modes_off_the_band_by_it_alone(self, n, dim):
+        lat = WavenumberLattice(n, dim)
+        noise = np.random.default_rng(n).standard_normal(
+            (dim,) + lat.grid_shape)
+        u = leray_project(SpectralVelocity.from_physical(lat, noise))
+        u = SpectralVelocity(lat, u.coeffs * ~lat.dealias_mask)
+        sym = power_symbol(lat, 1.0, 1.5)
+        nu, eps, dt = 0.5, 0.1, 1e-2
+        u1 = Stepper(sym, nu, eps, dt).step(
+            TrajectoryState(u=u, t=0.0, step_index=0)).u
+        decayed = linear_propagator(sym, nu, eps, dt) * u.coeffs
+        assert np.max(np.abs(decayed - u.coeffs)) > 1e-3 * np.max(
+            np.abs(u.coeffs))
+        assert (np.max(np.abs(u1.coeffs - decayed))
+                <= 1e-15 * np.max(np.abs(decayed)))
+
 
 class TestStep:
     def test_linear_step_is_exact(self):

@@ -283,17 +283,61 @@ class TestInvariants:
     def test_half_layout_arrays(self):
         lat = WavenumberLattice(8, 3)
         assert lat.half_modes == 5
-        assert np.array_equal(lat.half_k, lat.k[..., :5])
         assert np.array_equal(lat.half_k_sq, lat.k_sq[..., :5])
+        assert lat.band_shape == (5, 5, 3)
+        assert np.array_equal(lat.band_k, band_modes(lat, lat.k))
+        # the two-thirds mask is all ones on the band: band_k is the band of
+        # the masked k bit for bit, and scattered it is zero off the band
         kept = lat.dealias_mask[..., :5]
-        assert np.all(lat.half_dealias_k[:, ~kept] == 0.0)
-        assert np.array_equal(lat.half_dealias_k[:, kept], lat.half_k[:, kept])
-        assert np.all(lat.half_leray[(slice(None),) + (0,) * 3] == 0.0)
+        masked_k = lat.half(lat.k) * kept
+        assert lat.band_k.tobytes() == lat.gather_band(masked_k).tobytes()
+        assert np.all(lat.scatter_band(lat.band_k)[:, ~kept] == 0.0)
+        leray = band_modes(lat, lat.k / lat.k_sq_pinned)
+        assert lat.band_leray.tobytes() == leray.tobytes()
+        assert np.all(lat.band_leray[(slice(None),) + (0,) * 3] == 0.0)
 
     def test_inner_product_consistency(self):
         lat = WavenumberLattice(16, 2)
         u = bandlimited_field(lat, 8, 5)
         assert inner_product(u, u) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
+
+
+def band_modes(lat, a):
+    """``a`` at the band's modes, by an index of their kappa: on every axis
+    but the last the rows 0..lim, then -lim..-1; on the last 0..lim."""
+    lim = lat.dealias_limit
+    rows = np.r_[0:lim + 1, -lim:0] % lat.n_per_dim
+    return a[(...,) + np.ix_(*[rows] * (lat.dim - 1), np.arange(lim + 1))]
+
+
+class TestBandLayout:
+    """Gathering the two-thirds band from the half layout and scattering it
+    back."""
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scatter_of_gather_is_the_masked_half(self, dim, n, lead):
+        lat = WavenumberLattice(n, dim)
+        rng = np.random.default_rng(n + dim)
+        h = lat.forward(rng.standard_normal((dim,) * lead + lat.grid_shape))
+        b = lat.gather_band(h)
+        assert b.shape == (dim,) * lead + lat.band_shape
+        assert b.tobytes() == band_modes(lat, h).tobytes()
+        # "+ 0.0": the product with the mask leaves -0.0 where h is
+        # negative off the band; the scatter writes +0.0 there
+        masked = h * lat.half(lat.dealias_mask) + 0.0
+        assert lat.scatter_band(b).tobytes() == masked.tobytes()
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gather_is_exact_on_band_limited_arrays(self, dim, n, lead):
+        lat = WavenumberLattice(n, dim)
+        rng = np.random.default_rng(n * dim)
+        h = lat.forward(rng.standard_normal((dim,) * lead + lat.grid_shape),
+                        dealiased=True)
+        assert lat.scatter_band(lat.gather_band(h)).tobytes() == h.tobytes()
 
 
 class TestLayouts:
