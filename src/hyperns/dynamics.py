@@ -4,7 +4,9 @@ Time stepping is integrating-factor RK4: the stiff diagonal linear part
 exp(-(nu k^2 + eps m(k)) t) is applied exactly, classical RK4 handles the
 dealiased pseudospectral nonlinear term.  A step runs on raw coefficient
 arrays in the two-thirds band layout (see :mod:`hyperns.lattice` and
-:class:`Stepper`) and returns the new state in the full layout.
+:class:`Stepper`).  Between samples the trajectory stays a projected band
+array; a step builds the full-layout field only when :func:`run` samples
+its result.
 """
 from __future__ import annotations
 
@@ -45,10 +47,19 @@ class CFLError(NumericalError):
 
 @dataclass
 class TrajectoryState:
-    u: SpectralVelocity
+    """A state of a trajectory at time ``t``, after ``step_index`` steps.
+
+    At the start and at samples ``u`` is the full-layout field and ``band``
+    is None.  Between samples ``u`` is None and ``band`` holds the field's
+    projected band-layout coefficients (see :meth:`Stepper.step`); the
+    field is zero off the band.
+    """
+
+    u: SpectralVelocity | None
     t: float
     step_index: int
     cfl_estimate: float = 0.0
+    band: np.ndarray | None = None
 
     @cached_property
     def mag2(self) -> np.ndarray:
@@ -100,7 +111,7 @@ def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     lat = u.lattice
     d, _ = _band_nonlinear(lat, lat.gather_band(lat.half(u.coeffs)))
     d *= 1j
-    return SpectralVelocity(lat, lat.full_layout(lat.scatter_band(d)), u.t)
+    return SpectralVelocity.from_half(lat, lat.scatter_band(d), u.t)
 
 
 def _decay(k_sq: np.ndarray, m: np.ndarray, nu: float, eps: float,
@@ -120,16 +131,25 @@ class Stepper:
     """One-trajectory integrator on its symbol's lattice, with precomputed
     propagators.
 
-    A step gathers the state's two-thirds band once (the band layout of
-    :mod:`hyperns.lattice`) and runs the four nonlinear stages, their RK
-    combinations and the Leray projection on band arrays; each stage
-    scatters its input into the half layout for the band inverse transform
-    and gathers the band of the products' forward transform.  The new
-    state is the state times the full-step propagator, over the half
-    layout, plus the RK increment of the stages scattered from the band:
-    off the band the stages are zero, so a state that is not dealiased is
-    advected as dealias(u), while the propagator decays every mode.  The
-    step returns the new state in the full layout.
+    A step takes the band of its state (the band layout of
+    :mod:`hyperns.lattice`), gathered from a full-layout state, and runs
+    the four nonlinear stages, their RK combinations and the Leray
+    projection on band arrays; each stage scatters its input into the half
+    layout for the band inverse transform and gathers the band of the
+    products' forward transform.  The new band is the band times the
+    full-step propagator plus the RK increment of the stages.
+
+    An unsampled step stays on the band: it returns the new band,
+    projected by :meth:`~hyperns.lattice.WavenumberLattice.project_band`,
+    and no full-layout field.  It drops whatever a full-layout state holds
+    off the band, so :func:`run` takes sampled steps throughout from a
+    start with content there.  A sampled step returns the full-layout
+    field, projected by :func:`~hyperns.lattice.leray_project`.  From a
+    full-layout state it forms the state times the full-step propagator
+    over the half layout plus the scattered increment: off the band the
+    stages are zero, so a state that is not dealiased is advected as
+    dealias(u), while the propagator decays every mode.  On the band the
+    two results agree bit for bit.
     """
 
     def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
@@ -137,6 +157,8 @@ class Stepper:
         self.lattice = lattice = sym.lattice
         self.dt = dt
         k_sq, m = lattice.half_k_sq, lattice.half(sym.m)
+        # over the half layout for a sampled step from a full-layout state,
+        # which may hold modes off the band
         self.e_full = _decay(k_sq, m, nu, eps, dt)
         self.e_full_band = lattice.gather_band(self.e_full)
         # the half-step propagator acts on band arrays only
@@ -156,32 +178,53 @@ class Stepper:
         vmax = math.sqrt(float(np.max(np.sum(phys ** 2, axis=0))))
         return self.dt * vmax * self.lattice.k_dealias
 
-    def step(self, state: TrajectoryState) -> TrajectoryState:
+    def step(self, state: TrajectoryState,
+             sampled: bool = True) -> TrajectoryState:
+        """The state one step on: a full-layout field if ``sampled``, else a
+        projected band array."""
         dt = self.dt
         lat = self.lattice
-        c0 = lat.half(state.u.coeffs)
-        b0 = lat.gather_band(c0)
+        if state.u is None:
+            b0 = state.band
+        else:
+            c0 = lat.half(state.u.coeffs)
+            b0 = lat.gather_band(c0)
         e1, e2 = self.e_half_band, self.e_full_band
         n1, phys = self._rhs(b0)
         # the first stage's physical field is the state's own
         cfl = self.cfl(phys)
+        # read for the CFL number only: freed, it is not held through the
+        # other three stages
+        del phys
         if cfl > CFL_LIMIT:
             raise CFLError(cfl, dt * CFL_LIMIT / cfl, state=state)
         n2 = self._rhs(e1 * (b0 + 0.5 * dt * n1))[0]
         n3 = self._rhs(e1 * b0 + 0.5 * dt * n2)[0]
         n4 = self._rhs(e2 * b0 + dt * e1 * n3)[0]
         db = (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
-        # off the band the stages are zero and the propagator alone acts;
-        # the scattered increment adds +0.0 there, as the stages did
-        c1 = self.e_full * c0 + lat.scatter_band(db)
+        if sampled and state.u is not None:
+            # off the band the stages are zero and the propagator alone
+            # acts; the scattered increment adds +0.0 there, as the stages
+            # did
+            c1 = self.e_full * c0 + lat.scatter_band(db)
+        else:
+            c1 = e2 * b0 + db
         if not np.all(np.isfinite(c1)):
             raise NumericalError("NaN/Inf in solution after step",
                                  state=state)
-        # guard against roundoff drift of the analytic invariants
         t1 = state.t + dt
-        u1 = leray_project(SpectralVelocity(lat, lat.full_layout(c1), t1))
-        return TrajectoryState(u=u1, t=t1, step_index=state.step_index + 1,
-                               cfl_estimate=cfl)
+        out = TrajectoryState(u=None, t=t1, step_index=state.step_index + 1,
+                              cfl_estimate=cfl)
+        # guard against roundoff drift of the analytic invariants
+        if not sampled:
+            out.band = lat.project_band(c1)
+            return out
+        # from a band state the scatter holds +0.0 off the band, as the half
+        # layout of a band-limited state's step does; it dies once the full
+        # layout is built
+        out.u = leray_project(SpectralVelocity.from_half(
+            lat, c1 if state.u is not None else lat.scatter_band(c1), t1))
+        return out
 
 
 def taylor_green(lattice: WavenumberLattice, t: float = 0.0) -> SpectralVelocity:
@@ -252,9 +295,13 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
     and ``u0`` is not modified.  ``sinks`` are callables invoked as
     sink(state, record) at every sample (every ``output_every`` steps, plus
     the initial and final states).  The record and the sinks of one sample
-    share that state's ``mag2``, computed once.  Budget residuals are
-    attached to the records after the loop.  On a numerical failure the
-    partial series is attached to the raised :class:`NumericalError`.
+    share that state's ``mag2``, computed once.  Between samples the state
+    stays on the band (:meth:`Stepper.step`), unless the start has content
+    off the band: then every step builds the full layout, whose propagator
+    decays those modes.  Budget residuals are attached to the records
+    after the loop.  On a numerical failure the partial series is attached
+    to the raised :class:`NumericalError`, whose state may be a band state
+    with no ``u``.
     """
     sym = cfg.build_symbol() if symbol is None else symbol
     # the symbol's lattice already holds the cached wavevector arrays
@@ -267,6 +314,9 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
         u0 = initial_condition(cfg, lattice)
     stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt)
     n_steps = int(round(cfg.t_end / cfg.dt))
+    # an unsampled step drops what the start's half layout, which the
+    # steps read, holds off the band
+    off_band = lattice.off_band(lattice.half(u0.coeffs))
     # snapshot initial conditions resume from their stored time tag
     state = TrajectoryState(u=u0, t=u0.t, step_index=0)
     records: list[DiagnosticsRecord] = []
@@ -281,13 +331,14 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
 
     sample(state)
     for i in range(n_steps):
+        sampled = (i + 1) % cfg.output_every == 0 or i + 1 == n_steps
         try:
-            state = stepper.step(state)
+            state = stepper.step(state, sampled or off_band)
         except NumericalError as err:
             attach_budget_residuals(records)
             err.records = records
             raise
-        if (i + 1) % cfg.output_every == 0 or i + 1 == n_steps:
+        if sampled:
             sample(state)
     attach_budget_residuals(records)
     return state, records

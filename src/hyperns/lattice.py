@@ -30,7 +30,10 @@ before each band ``inverse`` and gathers after each band ``forward``.
 Only this module relates the layouts (:func:`negate_kappa`, ``half``,
 ``full_layout``, ``gather_band``, ``scatter_band``, ``pinned_modes``) or
 calls ``numpy.fft``; it also holds the arrays of the half and band
-layouts (``half_k_sq``, ``band_k``, ``band_leray``).
+layouts (``half_k_sq``, ``band_k``, ``band_k_sq_pinned``, ``band_leray``).
+Between samples a trajectory is a band array alone:
+``WavenumberLattice.project_band`` gives it, in place, what the band of a
+projected velocity field holds, bit for bit.
 """
 from __future__ import annotations
 
@@ -53,6 +56,16 @@ def negate_kappa(a: np.ndarray, dim: int) -> np.ndarray:
         dst, src = zip(*combo)
         out[(...,) + dst] = a[(...,) + src]
     return out
+
+
+def _symmetrize_zero_plane(a: np.ndarray, dim: int) -> None:
+    """In place, a(kappa) -> (a(kappa) + conj(a(-kappa))) / 2 on the
+    kappa_last = 0 plane of ``a``, which holds both kappa and -kappa.  The
+    other axes of the plane are in fftfreq order, as in the full, half and
+    band layouts."""
+    plane = a[..., 0]
+    plane += np.conj(negate_kappa(plane, dim - 1))
+    plane *= 0.5
 
 
 @dataclass(frozen=True)
@@ -173,9 +186,7 @@ class WavenumberLattice:
         m = self.half_modes
         out = np.empty(h.shape[:-1] + (self.n_per_dim,), dtype=np.complex128)
         out[..., :m] = h
-        plane = out[..., 0]
-        plane += np.conj(negate_kappa(plane, self.dim - 1))
-        plane *= 0.5
+        _symmetrize_zero_plane(out, self.dim)
         # full modes n/2+1..n-1 of the last axis are the negatives of
         # 1..n/2-1; that axis moves in front of the ones negated
         pos = np.moveaxis(h[..., m - 2:0:-1], -1, 0)
@@ -230,9 +241,28 @@ class WavenumberLattice:
         return self.gather_band(self.half(self.k))
 
     @cached_property
+    def band_k_sq_pinned(self) -> np.ndarray:
+        """``k_sq_pinned`` in the band layout."""
+        return self.gather_band(self.half(self.k_sq_pinned))
+
+    @cached_property
     def band_leray(self) -> np.ndarray:
         """k / |k|^2 in the band layout, zero at the mean mode."""
-        return self.band_k / self.gather_band(self.half(self.k_sq_pinned))
+        return self.band_k / self.band_k_sq_pinned
+
+    def project_band(self, b: np.ndarray) -> np.ndarray:
+        """Band-layout velocity coefficients ``b`` made a field's band, in
+        place: the kappa_last = 0 plane symmetrized, the mean mode pinned
+        and the field Leray-projected, in the order and by the formulas of
+        ``full_layout``, :class:`SpectralVelocity` and
+        :func:`leray_project`.  The result is the band of
+        ``leray_project(SpectralVelocity(self, full_layout(scatter_band(b))))``
+        bit for bit; returns ``b``."""
+        _symmetrize_zero_plane(b, self.dim)
+        b[(slice(None),) + (0,) * self.dim] = 0.0
+        k = self.band_k
+        b -= k * (np.sum(k * b, axis=0) / self.band_k_sq_pinned)
+        return b
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -249,6 +279,21 @@ class WavenumberLattice:
             raise ValueError(
                 f"array shape {a.shape} does not match lattice grid {shape}")
         return tuple(range(-self.dim, 0))
+
+    def _off_band_blocks(self):
+        """Basic-slice indices into the half layout whose blocks, which
+        overlap, cover every mode off the band: kappa_last > lim, then the
+        cut rows lim < kappa < n - lim of each axis before it."""
+        n, lim = self.n_per_dim, self.dealias_limit
+        yield (..., slice(lim + 1, None))
+        cut = slice(lim + 1, n - lim)
+        for after in range(1, self.dim):
+            yield (..., cut) + (slice(None),) * after
+
+    def off_band(self, h: np.ndarray) -> bool:
+        """Whether half-layout ``h`` holds anything but zeros off the band
+        (NaN counts), read block by block without a full-size temporary."""
+        return any(np.any(h[cut]) for cut in self._off_band_blocks())
 
     @property
     def _band_rows(self) -> tuple:
@@ -268,7 +313,7 @@ class WavenumberLattice:
         if not dealiased:
             return np.fft.rfftn(phys, axes=axes, norm="forward")
         # rfftn's own axis order, last axis first, on the kept lines only
-        n, lim = self.n_per_dim, self.dealias_limit
+        lim = self.dealias_limit
         h = np.fft.rfft(phys, axis=-1, norm="forward")
         kept = h[..., :lim + 1]
         np.fft.fft(kept, axis=-2, norm="forward", out=kept)
@@ -276,10 +321,8 @@ class WavenumberLattice:
             for rows in self._band_rows:
                 lines = h[..., rows, :lim + 1]
                 np.fft.fft(lines, axis=-3, norm="forward", out=lines)
-        h[..., lim + 1:] = 0.0
-        cut = slice(lim + 1, n - lim)
-        for after in range(1, self.dim):
-            h[(..., cut) + (slice(None),) * after] = 0.0
+        for cut in self._off_band_blocks():
+            h[cut] = 0.0
         return h
 
     def inverse(self, h: np.ndarray, *, dealiased: bool = False
@@ -342,9 +385,13 @@ class SpectralVelocity:
                 f"coefficient shape {c.shape} does not match lattice {expected}")
         if c is self.coeffs:
             c = c.copy()
-        for idx in lat.pinned_modes.values():
-            c[(slice(None),) + idx] = 0.0
         self.coeffs = c
+        self._pin()
+
+    def _pin(self) -> None:
+        """Zero the pinned modes of ``coeffs`` in place."""
+        for idx in self.lattice.pinned_modes.values():
+            self.coeffs[(slice(None),) + idx] = 0.0
 
     def copy(self) -> "SpectralVelocity":
         # construction copies the array it is given
@@ -361,7 +408,23 @@ class SpectralVelocity:
     @classmethod
     def from_physical(cls, lattice: WavenumberLattice, phys: np.ndarray,
                       t: float = 0.0) -> "SpectralVelocity":
-        return cls(lattice, lattice.full_layout(lattice.forward(phys)), t)
+        return cls.from_half(lattice, lattice.forward(phys), t)
+
+    @classmethod
+    def from_half(cls, lattice: WavenumberLattice, h: np.ndarray,
+                  t: float = 0.0) -> "SpectralVelocity":
+        """The field of half-layout coefficients ``h``: ``full_layout(h)``
+        with its modes pinned in place.  Unlike the constructor it does not
+        copy the array, which it has just built (12.6 MB at 3-D n=64)."""
+        expected = (lattice.dim,) + lattice.grid_shape[:-1] + (
+            lattice.half_modes,)
+        if h.shape != expected:
+            raise ValueError(f"half-layout shape {h.shape} does not match "
+                             f"lattice {expected}")
+        v = cls.__new__(cls)
+        v.lattice, v.coeffs, v.t = lattice, lattice.full_layout(h), t
+        v._pin()
+        return v
 
     def l2_norm(self) -> float:
         lat = self.lattice

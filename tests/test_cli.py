@@ -202,6 +202,25 @@ class TestRunCommand:
         assert isinstance(manifest["failure"]["step_index"], int)
         assert isinstance(manifest["failure"]["t"], float)
 
+    def test_failure_between_samples_names_the_last_state(
+            self, tmp_path, capsys, monkeypatch):
+        # the third step's CFL check fails; samples fall every 5 steps, so
+        # the last good state is a band state with no full-layout field
+        cfl, calls = dynamics.Stepper.cfl, []
+
+        def faulty(self, phys):
+            calls.append(None)
+            return 10.0 if len(calls) == 3 else cfl(self, phys)
+
+        monkeypatch.setattr(dynamics.Stepper, "cfl", faulty)
+        cfg = write_config(tmp_path, CONFIG.replace("output_every = 2",
+                                                    "output_every = 5"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert_one_error_line(capsys, "numerical")
+        failure = failed_manifest(out, "CFLError")["failure"]
+        assert (failure["step_index"], failure["t"]) == (2, 5e-3 + 5e-3)
+
     def test_failed_output_write_finalizes_manifest(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -252,9 +252,9 @@ class TestOnePassPerSample:
             times.append(u.t)
             return mag2(u)
 
-        def checked(self, state):
+        def checked(self, state, *args):
             assert "mag2" not in vars(state)
-            return step(self, state)
+            return step(self, state, *args)
 
         monkeypatch.setattr(SpectralVelocity, "mag2", counted)
         monkeypatch.setattr(Stepper, "step", checked)

@@ -6,12 +6,13 @@ import pytest
 
 from conftest import bandlimited_field, brute_force_nonlinear, shear_field
 from hyperns.config import SimConfig
-from hyperns.dynamics import (CFLError, Stepper, TrajectoryState,
-                              initial_condition, linear_propagator,
-                              nonlinear_term, random_field, run,
-                              smallness_probe, taylor_green)
+from hyperns.dynamics import (CFLError, NumericalError, Stepper,
+                              TrajectoryState, initial_condition,
+                              linear_propagator, nonlinear_term,
+                              random_field, run, smallness_probe,
+                              taylor_green)
 from hyperns.lattice import (SpectralVelocity, WavenumberLattice, dealias,
-                             inner_product, leray_project)
+                             inner_product, leray_project, negate_kappa)
 from hyperns.symbols import power_symbol
 
 
@@ -317,6 +318,124 @@ class TestRun:
     def test_ic_validation(self):
         with pytest.raises(ValueError, match="dim"):
             base_config(ic="taylor-green-3d")
+
+
+def sampled_loop(cfg, u0):
+    """(sampled states, final state) of ``run(cfg, u0=u0)``, integrated by
+    a loop that takes the sampled result of every step."""
+    stepper = make_stepper(cfg)
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    st = TrajectoryState(u=u0, t=u0.t, step_index=0)
+    states = [st]
+    for i in range(n_steps):
+        st = stepper.step(st, True)
+        if (i + 1) % cfg.output_every == 0 or i + 1 == n_steps:
+            states.append(st)
+    return states, st
+
+
+def assert_same_states(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert (a.step_index, a.t, a.cfl_estimate) == (
+            b.step_index, b.t, b.cfl_estimate)
+        assert a.u.coeffs.tobytes() == b.u.coeffs.tobytes()
+
+
+class TestBandTrajectory:
+    """Between samples the state stays a projected band array."""
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    @pytest.mark.parametrize("ic", ["random", "taylor-green"])
+    @pytest.mark.parametrize("dim,n", [(2, 10), (2, 64), (3, 12), (3, 32)])
+    def test_run_is_the_sampled_step_bit_for_bit(self, dim, n, ic, every):
+        ic = f"taylor-green-{dim}d" if ic == "taylor-green" else ic
+        cfg = base_config(dim=dim, n=n, ic=ic, amplitude=1.0, dt=2e-3,
+                          t_end=1.6e-2, output_every=every)
+        u0 = initial_condition(cfg, cfg.build_lattice())
+        sampled = []
+        final, _ = run(cfg, sinks=(lambda st, rec: sampled.append(st),),
+                       u0=u0)
+        states, last = sampled_loop(cfg, u0)
+        assert_same_states(sampled, states)
+        assert_same_states([final], [last])
+
+    def test_start_off_the_band_takes_the_sampled_step_throughout(self):
+        lat = WavenumberLattice(16, 2)
+        noise = np.random.default_rng(7).standard_normal(
+            (2,) + lat.grid_shape)
+        u0 = leray_project(SpectralVelocity.from_physical(lat, noise))
+        u0.coeffs *= 0.5 / u0.l2_norm()
+        cfg = base_config(n=16, t_end=4e-2, output_every=3)
+        sampled = []
+        final, _ = run(cfg, sinks=(lambda st, rec: sampled.append(st),),
+                       u0=u0)
+        states, last = sampled_loop(cfg, u0)
+        assert_same_states(sampled, states)
+        assert_same_states([final], [last])
+        # the modes off the band decayed by the propagator, not dropped
+        assert np.any(final.u.coeffs[:, ~lat.dealias_mask] != 0)
+        _, dropped = run(cfg, u0=dealias(u0))
+        assert dropped[-1].energy < final.u.energy()
+
+    @pytest.mark.parametrize("dim,n", [(2, 10), (2, 64), (3, 12), (3, 32)])
+    def test_unsampled_step_is_the_band_of_the_sampled_one(self, dim, n):
+        cfg = base_config(dim=dim, n=n, amplitude=1.0, dt=2e-3)
+        lat = cfg.build_lattice()
+        stepper = make_stepper(cfg)
+        st = TrajectoryState(u=initial_condition(cfg, lat), t=0.0,
+                             step_index=0)
+        for _ in range(2):  # from a full-layout state, then a band state
+            band = stepper.step(st, False)
+            full = stepper.step(st, True)
+            assert band.u is None and full.band is None
+            assert (band.step_index, band.t, band.cfl_estimate) == (
+                full.step_index, full.t, full.cfl_estimate)
+            assert band.band.tobytes() == lat.gather_band(
+                lat.half(full.u.coeffs)).tobytes()
+            st = band
+        b = st.band
+        # the mean mode pinned, the kappa_last = 0 plane Hermitian and the
+        # field divergence-free at roundoff
+        assert np.all(b[(slice(None),) + (0,) * dim] == 0)
+        plane = b[..., 0]
+        assert np.array_equal(plane, np.conj(negate_kappa(plane, dim - 1)))
+        k = lat.band_k
+        div = np.sum(np.abs(np.sum(k * b, axis=0)) ** 2)
+        grad = np.sum(np.sum(k ** 2, axis=0) * np.sum(np.abs(b) ** 2, axis=0))
+        assert np.sqrt(div / grad) <= 1e-15
+
+    @pytest.mark.parametrize("fault", ["cfl", "nan"])
+    def test_failure_between_samples_carries_the_last_state(
+            self, monkeypatch, fault):
+        # the third step fails; the last good state is a band state
+        cfg = base_config(output_every=5)
+        if fault == "cfl":
+            cfl, calls = Stepper.cfl, []
+
+            def faulty(self, phys):
+                calls.append(None)
+                return 10.0 if len(calls) == 3 else cfl(self, phys)
+
+            monkeypatch.setattr(Stepper, "cfl", faulty)
+        else:
+            rhs, calls = Stepper._rhs, []
+
+            def faulty(self, b):
+                calls.append(None)
+                d, phys = rhs(self, b)
+                if len(calls) == 9:  # the third step's first stage
+                    d[...] = np.nan
+                return d, phys
+
+            monkeypatch.setattr(Stepper, "_rhs", faulty)
+        with pytest.raises(NumericalError) as err:
+            run(cfg)
+        assert isinstance(err.value, CFLError) == (fault == "cfl")
+        st = err.value.state
+        assert st.u is None and st.band is not None
+        assert (st.step_index, st.t) == (2, 0.0 + cfg.dt + cfg.dt)
+        assert [r.t for r in err.value.records] == [0.0]
 
 
 class TestSmallnessProbe:

@@ -339,6 +339,38 @@ class TestBandLayout:
                         dealiased=True)
         assert lat.scatter_band(lat.gather_band(h)).tobytes() == h.tobytes()
 
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_off_band_sees_every_mode_off_the_band(self, dim, n):
+        lat = WavenumberLattice(n, dim)
+        rng = np.random.default_rng(n - dim)
+        h = lat.forward(rng.standard_normal((dim,) + lat.grid_shape),
+                        dealiased=True)
+        outside = ~lat.half(lat.dealias_mask)
+        h[:, outside] = -0.0  # a zero of either sign is no content
+        assert not lat.off_band(h)
+        for idx in zip(*np.nonzero(outside)):
+            for value in (1e-300, np.nan):
+                h[(dim - 1,) + idx] = value
+                assert lat.off_band(h)
+            h[(dim - 1,) + idx] = 0.0
+        assert not lat.off_band(h)
+
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_project_band_is_the_full_projection_on_the_band(self, dim, n):
+        # random coefficients: neither Hermitian, pinned nor projected
+        lat = WavenumberLattice(n, dim)
+        rng = np.random.default_rng(n + 10 * dim)
+        shape = (dim,) + lat.band_shape
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = leray_project(SpectralVelocity(
+            lat, lat.full_layout(lat.scatter_band(b))))
+        expect = lat.gather_band(lat.half(full.coeffs))
+        copy = b.copy()
+        assert lat.project_band(copy) is copy
+        assert copy.tobytes() == expect.tobytes()
+
 
 class TestLayouts:
     """The kappa -> -kappa map and the half -> full conversion."""
@@ -385,6 +417,18 @@ class TestLayouts:
         u = SpectralVelocity(lat, 0.5 * (c + np.conj(negate_kappa(c, dim))))
         full = lat.full_layout(lat.half(u.coeffs))
         assert np.array_equal(full.view(float), u.coeffs.view(float))
+
+    @pytest.mark.parametrize("n,dim", CASES)
+    def test_from_half_is_the_constructor_without_its_copy(self, n, dim):
+        lat = WavenumberLattice(n, dim)
+        rng = np.random.default_rng(5)
+        shape = (dim,) + lat.half(lat.k_sq).shape
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = SpectralVelocity.from_half(lat, h, 0.5)
+        expect = SpectralVelocity(lat, lat.full_layout(h), 0.5)
+        assert u.coeffs.tobytes() == expect.coeffs.tobytes() and u.t == 0.5
+        with pytest.raises(ValueError, match="half-layout shape"):
+            SpectralVelocity.from_half(lat, h[1:], 0.5)
 
     def test_half_is_a_view(self):
         lat = WavenumberLattice(8, 3)
