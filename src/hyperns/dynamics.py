@@ -4,9 +4,10 @@ Time stepping is integrating-factor RK4: the stiff diagonal linear part
 exp(-(nu k^2 + eps m(k)) t) is applied exactly, classical RK4 handles the
 dealiased pseudospectral nonlinear term.  A step runs on raw coefficient
 arrays in the two-thirds band layout (see :mod:`hyperns.lattice` and
-:class:`Stepper`).  Between samples the trajectory stays a projected band
-array; a step builds the full-layout field only when :func:`run` samples
-its result.
+:class:`Stepper`).  A trajectory is its projected band array from its
+start to its end; a step also builds the full-layout field only when
+:func:`run` samples its result, and a start with content off the band is
+refused.
 """
 from __future__ import annotations
 
@@ -49,10 +50,11 @@ class CFLError(NumericalError):
 class TrajectoryState:
     """A state of a trajectory at time ``t``, after ``step_index`` steps.
 
-    At the start and at samples ``u`` is the full-layout field and ``band``
-    is None.  Between samples ``u`` is None and ``band`` holds the field's
-    projected band-layout coefficients (see :meth:`Stepper.step`); the
-    field is zero off the band.
+    ``band`` holds the field's band-layout coefficients, all that a step
+    reads; the field is zero off the band.  At the start and at samples
+    ``u`` is also the full-layout field; between samples it is None.  A
+    trajectory's state gets its band from a field in :meth:`start` only;
+    a state made just to be recorded (:func:`make_record`) needs none.
     """
 
     u: SpectralVelocity | None
@@ -60,6 +62,19 @@ class TrajectoryState:
     step_index: int
     cfl_estimate: float = 0.0
     band: np.ndarray | None = None
+
+    @classmethod
+    def start(cls, u: SpectralVelocity) -> "TrajectoryState":
+        """The state a trajectory starts from: ``u`` at its own time tag,
+        with its band.  Refuses, with a ValueError, a ``u`` whose half
+        layout, which the band is gathered from, holds anything off the
+        band; ``u`` is not modified."""
+        lat = u.lattice
+        h = lat.half(u.coeffs)
+        if lat.off_band(h):
+            raise ValueError("start holds modes off the two-thirds band "
+                             "|kappa_i| < n/3; dealias it first")
+        return cls(u=u, t=u.t, step_index=0, band=lat.gather_band(h))
 
     @cached_property
     def mag2(self) -> np.ndarray:
@@ -131,39 +146,30 @@ class Stepper:
     """One-trajectory integrator on its symbol's lattice, with precomputed
     propagators.
 
-    A step takes the band of its state (the band layout of
-    :mod:`hyperns.lattice`), gathered from a full-layout state, and runs
-    the four nonlinear stages, their RK combinations and the Leray
-    projection on band arrays; each stage scatters its input into the half
-    layout for the band inverse transform and gathers the band of the
-    products' forward transform.  The new band is the band times the
-    full-step propagator plus the RK increment of the stages.
+    A step reads only the band of its state (the band layout of
+    :mod:`hyperns.lattice`) and runs the four nonlinear stages, their RK
+    combinations and the Leray projection on band arrays; each stage
+    scatters its input into the half layout for the band inverse transform
+    and gathers the band of the products' forward transform.  The new band
+    is the band times the full-step propagator plus the RK increment of
+    the stages.
 
-    An unsampled step stays on the band: it returns the new band,
-    projected by :meth:`~hyperns.lattice.WavenumberLattice.project_band`,
-    and no full-layout field.  It drops whatever a full-layout state holds
-    off the band, so :func:`run` takes sampled steps throughout from a
-    start with content there.  A sampled step returns the full-layout
-    field, projected by :func:`~hyperns.lattice.leray_project`.  From a
-    full-layout state it forms the state times the full-step propagator
-    over the half layout plus the scattered increment: off the band the
-    stages are zero, so a state that is not dealiased is advected as
-    dealias(u), while the propagator decays every mode.  On the band the
-    two results agree bit for bit.
+    Every step returns the new band projected.  An unsampled step projects
+    it by :meth:`~hyperns.lattice.WavenumberLattice.project_band` and
+    builds no full-layout field.  A sampled step also returns the
+    full-layout field, projected by :func:`~hyperns.lattice.leray_project`,
+    and gathers its band from that field; the two projections agree bit
+    for bit on the band.
     """
 
     def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
                  dt: float):
         self.lattice = lattice = sym.lattice
         self.dt = dt
-        k_sq, m = lattice.half_k_sq, lattice.half(sym.m)
-        # over the half layout for a sampled step from a full-layout state,
-        # which may hold modes off the band
-        self.e_full = _decay(k_sq, m, nu, eps, dt)
-        self.e_full_band = lattice.gather_band(self.e_full)
-        # the half-step propagator acts on band arrays only
-        self.e_half_band = _decay(lattice.gather_band(k_sq),
-                                  lattice.gather_band(m), nu, eps, dt / 2.0)
+        k_sq = lattice.gather_band(lattice.half(lattice.k_sq))
+        m = lattice.gather_band(lattice.half(sym.m))
+        self.e_full_band = _decay(k_sq, m, nu, eps, dt)
+        self.e_half_band = _decay(k_sq, m, nu, eps, dt / 2.0)
 
     def _rhs(self, b: np.ndarray):
         """-B of band-layout coefficients, and the physical velocity."""
@@ -180,15 +186,11 @@ class Stepper:
 
     def step(self, state: TrajectoryState,
              sampled: bool = True) -> TrajectoryState:
-        """The state one step on: a full-layout field if ``sampled``, else a
-        projected band array."""
+        """The state one step on from ``state.band``: a projected band
+        array, and the full-layout field too if ``sampled``."""
         dt = self.dt
         lat = self.lattice
-        if state.u is None:
-            b0 = state.band
-        else:
-            c0 = lat.half(state.u.coeffs)
-            b0 = lat.gather_band(c0)
+        b0 = state.band
         e1, e2 = self.e_half_band, self.e_full_band
         n1, phys = self._rhs(b0)
         # the first stage's physical field is the state's own
@@ -201,30 +203,22 @@ class Stepper:
         n2 = self._rhs(e1 * (b0 + 0.5 * dt * n1))[0]
         n3 = self._rhs(e1 * b0 + 0.5 * dt * n2)[0]
         n4 = self._rhs(e2 * b0 + dt * e1 * n3)[0]
-        db = (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
-        if sampled and state.u is not None:
-            # off the band the stages are zero and the propagator alone
-            # acts; the scattered increment adds +0.0 there, as the stages
-            # did
-            c1 = self.e_full * c0 + lat.scatter_band(db)
-        else:
-            c1 = e2 * b0 + db
+        c1 = e2 * b0 + (dt / 6.0) * (e2 * n1 + 2.0 * e1 * (n2 + n3) + n4)
         if not np.all(np.isfinite(c1)):
             raise NumericalError("NaN/Inf in solution after step",
                                  state=state)
         t1 = state.t + dt
-        out = TrajectoryState(u=None, t=t1, step_index=state.step_index + 1,
-                              cfl_estimate=cfl)
-        # guard against roundoff drift of the analytic invariants
-        if not sampled:
-            out.band = lat.project_band(c1)
-            return out
-        # from a band state the scatter holds +0.0 off the band, as the half
-        # layout of a band-limited state's step does; it dies once the full
-        # layout is built
-        out.u = leray_project(SpectralVelocity.from_half(
-            lat, c1 if state.u is not None else lat.scatter_band(c1), t1))
-        return out
+        # the projections guard against roundoff drift of the analytic
+        # invariants
+        if sampled:
+            # the scatter holds +0.0 off the band and dies once the full
+            # layout is built
+            u = leray_project(SpectralVelocity.from_half(
+                lat, lat.scatter_band(c1), t1))
+            band = lat.gather_band(lat.half(u.coeffs))
+        else:
+            u, band = None, lat.project_band(c1)
+        return TrajectoryState(u, t1, state.step_index + 1, cfl, band)
 
 
 def taylor_green(lattice: WavenumberLattice, t: float = 0.0) -> SpectralVelocity:
@@ -295,13 +289,14 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
     and ``u0`` is not modified.  ``sinks`` are callables invoked as
     sink(state, record) at every sample (every ``output_every`` steps, plus
     the initial and final states).  The record and the sinks of one sample
-    share that state's ``mag2``, computed once.  Between samples the state
-    stays on the band (:meth:`Stepper.step`), unless the start has content
-    off the band: then every step builds the full layout, whose propagator
-    decays those modes.  Budget residuals are attached to the records
-    after the loop.  On a numerical failure the partial series is attached
-    to the raised :class:`NumericalError`, whose state may be a band state
-    with no ``u``.
+    share that state's ``mag2``, computed once.  The trajectory is a band
+    array (:meth:`Stepper.step`); only sampled steps build the full-layout
+    field.  A start with content off the band is refused with a ValueError
+    (:meth:`TrajectoryState.start`) before any step or sink call.  Budget
+    residuals are attached to the records after the loop.  On a numerical
+    failure the partial series is attached to the raised
+    :class:`NumericalError`, whose state may be a band state with no
+    ``u``.
     """
     sym = cfg.build_symbol() if symbol is None else symbol
     # the symbol's lattice already holds the cached wavevector arrays
@@ -312,13 +307,13 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
                              "match config lattice")
     if u0 is None:
         u0 = initial_condition(cfg, lattice)
+    # the stepper's arrays come before the start's band: this order of
+    # allocations keeps glibc's heap trimmed after 3-D samples, which the
+    # time of the final snapshot write follows (CHANGES.md)
     stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    # an unsampled step drops what the start's half layout, which the
-    # steps read, holds off the band
-    off_band = lattice.off_band(lattice.half(u0.coeffs))
     # snapshot initial conditions resume from their stored time tag
-    state = TrajectoryState(u=u0, t=u0.t, step_index=0)
+    state = TrajectoryState.start(u0)
     records: list[DiagnosticsRecord] = []
 
     def sample(st):
@@ -333,7 +328,7 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
     for i in range(n_steps):
         sampled = (i + 1) % cfg.output_every == 0 or i + 1 == n_steps
         try:
-            state = stepper.step(state, sampled or off_band)
+            state = stepper.step(state, sampled)
         except NumericalError as err:
             attach_budget_residuals(records)
             err.records = records

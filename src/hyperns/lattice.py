@@ -29,11 +29,10 @@ the last.  ``gather_band`` copies it out of a half-layout array,
 before each band ``inverse`` and gathers after each band ``forward``.
 Only this module relates the layouts (:func:`negate_kappa`, ``half``,
 ``full_layout``, ``gather_band``, ``scatter_band``, ``pinned_modes``) or
-calls ``numpy.fft``; it also holds the arrays of the half and band
-layouts (``half_k_sq``, ``band_k``, ``band_k_sq_pinned``, ``band_leray``).
-Between samples a trajectory is a band array alone:
-``WavenumberLattice.project_band`` gives it, in place, what the band of a
-projected velocity field holds, bit for bit.
+calls ``numpy.fft``; it also holds the arrays of the band layout
+(``band_k``, ``band_k_sq_pinned``, ``band_leray``).  A trajectory
+is a band array: ``WavenumberLattice.project_band`` gives it, in place,
+what the band of a projected velocity field holds, bit for bit.
 """
 from __future__ import annotations
 
@@ -193,10 +192,6 @@ class WavenumberLattice:
         np.conjugate(negate_kappa(pos, self.dim - 1),
                      out=np.moveaxis(out[..., m:], -1, 0))
         return out
-
-    @cached_property
-    def half_k_sq(self) -> np.ndarray:
-        return np.ascontiguousarray(self.half(self.k_sq))
 
     # -- two-thirds band layout ---------------------------------------------
 

@@ -70,7 +70,7 @@ class TestCriterion1:
 
         from hyperns.dynamics import Stepper, TrajectoryState
         stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt)
-        st = TrajectoryState(u=u0.copy(), t=0.0, step_index=0)
+        st = TrajectoryState.start(u0.copy())
         for _ in range(20):
             st = stepper.step(st)
         err = (np.sqrt(np.sum(np.abs(st.u.coeffs - exact) ** 2))

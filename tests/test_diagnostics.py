@@ -63,7 +63,7 @@ class TestEnergyBudget:
         sym = power_symbol(lat, 1.0, 1.25)
         u = shear_field(lat, 4, amplitude=0.5)
         stp = Stepper(sym, nu, eps, dt)
-        st = TrajectoryState(u=u, t=0.0, step_index=0)
+        st = TrajectoryState.start(u)
         records = [make_record(st, nu, eps, sym)]
         for i in range(n_steps):
             st = stp.step(st)
@@ -137,7 +137,7 @@ class TestDefectSplit:
         c[1, -kappa0, 0] = 0.5
         u = SpectralVelocity(lat, c)
         stp = Stepper(sym, nu, eps, 1e-2)
-        st = TrajectoryState(u=u, t=0.0, step_index=0)
+        st = TrajectoryState.start(u)
         times, states = [0.0], [st.u.copy()]
         for _ in range(20):
             st = stp.step(st)

@@ -1,8 +1,7 @@
 """Property tests: every field a constructor builds is exactly Hermitian,
 and one time step keeps it exactly Hermitian, divergence-free and the
 nonlinear term energy-neutral.  A step through the band transforms
-equals, byte for byte, the step through the full ones, on dealiased fields
-and on fields that are not.
+equals, byte for byte, the step through the full ones.
 
 Fields come from `random_field`, `taylor_green` and `from_physical` of
 random noise, on 2-D and 3-D lattices with small even n.  Exactness means
@@ -75,21 +74,20 @@ def test_step_keeps_invariants(case):
     u = dealias(leray_project(u))
     assert neutrality(u) <= NEUTRALITY_TOL
     stepper = Stepper(power_symbol(lat, 1.0, 1.25), 1e-2, 1e-4, 1e-3)
-    u1 = stepper.step(TrajectoryState(u=u, t=0.0, step_index=0)).u
+    u1 = stepper.step(TrajectoryState.start(u)).u
     assert u1.hermitian_defect() == 0.0
     assert u1.divergence_max() <= DIV_TOL
 
 
 @st.composite
-def noise_fields(draw, dealiased):
-    """A divergence-free field from noise, dealiased or not; 3 | n is drawn
-    too."""
+def noise_fields(draw):
+    """A dealiased divergence-free field from noise; 3 | n is drawn too."""
     dim = draw(st.sampled_from([2, 3]))
     lat = WavenumberLattice(draw(st.sampled_from([8, 10, 12, 16])), dim)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     noise = rng.standard_normal((dim,) + lat.grid_shape)
     u = leray_project(SpectralVelocity.from_physical(lat, noise))
-    return dealias(u) if dealiased else u
+    return dealias(u)
 
 
 def full_transforms():
@@ -101,28 +99,16 @@ def full_transforms():
         inverse=lambda self, a, *, dealiased=False: inverse(self, a))
 
 
-def assert_band_step_is_the_full_step(u):
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(noise_fields())
+def test_band_step_is_the_full_step_bit_for_bit(u):
     stepper = Stepper(power_symbol(u.lattice, 1.0, 1.25), 1e-2, 1e-4, 1e-3)
-    state = TrajectoryState(u=u, t=0.0, step_index=0)
+    state = TrajectoryState.start(u)
     band = stepper.step(state)
     with full_transforms():
         full = stepper.step(state)
     assert band.u.coeffs.tobytes() == full.u.coeffs.tobytes()
     assert band.cfl_estimate == full.cfl_estimate
-
-
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
-@given(noise_fields(dealiased=True))
-def test_band_step_is_the_full_step_bit_for_bit(u):
-    assert_band_step_is_the_full_step(u)
-
-
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
-@given(noise_fields(dealiased=False))
-def test_band_step_is_the_full_step_bit_for_bit_off_the_band_too(u):
-    # the stages see only the band the step gathers, whichever transform
-    # runs, so the modes off the band do not reach the nonlinear term
-    assert_band_step_is_the_full_step(u)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

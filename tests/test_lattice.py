@@ -283,7 +283,6 @@ class TestInvariants:
     def test_half_layout_arrays(self):
         lat = WavenumberLattice(8, 3)
         assert lat.half_modes == 5
-        assert np.array_equal(lat.half_k_sq, lat.k_sq[..., :5])
         assert lat.band_shape == (5, 5, 3)
         assert np.array_equal(lat.band_k, band_modes(lat, lat.k))
         # the two-thirds mask is all ones on the band: band_k is the band of
