@@ -52,10 +52,6 @@ def write_csv(path, header: list, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_config(path) -> SimConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
 @contextlib.contextmanager
 def _config_input(what: str):
     """Report a ValueError raised on the user's input as a ConfigError.
@@ -67,6 +63,11 @@ def _config_input(what: str):
         yield
     except ValueError as err:
         raise ConfigError(f"{what}: {err}") from None
+
+
+def _load_config(path) -> SimConfig:
+    with _config_input(str(path)):  # a UnicodeDecodeError is a ValueError
+        return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 @contextlib.contextmanager

@@ -24,6 +24,8 @@ from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
 from .symbols import MultiplierSymbol
 
 CFL_LIMIT = 1.5
+_PAIRS = {dim: tuple((i, j) for i in range(dim) for j in range(i, dim))
+          for dim in (2, 3)}
 
 
 class NumericalError(RuntimeError):
@@ -90,21 +92,19 @@ def _band_nonlinear(lat: WavenumberLattice, b: np.ndarray):
     """Dealiased, projected div(u tensor u) / i of band-layout coefficients.
 
     Returns (d, phys): B(u) = i d in the band layout, and the physical
-    velocity field of u.  One band inverse transform of the field and one
-    band forward transform of each product u_i u_j, whose transform enters
-    rows i and j; the transforms keep the half layout, so the field is
-    scattered into it before and the products gathered from it after.
+    velocity field of u.  One band inverse transform of the field, scattered
+    into the half layout, and one band forward transform, straight to the
+    band, of each product u_i u_j, which enters rows i and j.
     """
-    dim = lat.dim
     d = np.zeros_like(b)
     # the array stays positional: the benchmark's tracer counts the points
     # of args[1]
     phys = lat.inverse(lat.scatter_band(b), dealiased=True)
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    pairs = _PAIRS[lat.dim]
     prod = np.empty((len(pairs),) + lat.grid_shape)
     for p, (i, j) in enumerate(pairs):
         np.multiply(phys[i], phys[j], out=prod[p])
-    t = lat.gather_band(lat.forward(prod, dealiased=True))
+    t = lat.forward(prod, dealiased=True)
     k = lat.band_k
     for p, (i, j) in enumerate(pairs):
         d[i] += k[j] * t[p]
@@ -148,11 +148,10 @@ class Stepper:
 
     A step reads only the band of its state (the band layout of
     :mod:`hyperns.lattice`) and runs the four nonlinear stages, their RK
-    combinations and the Leray projection on band arrays; each stage
-    scatters its input into the half layout for the band inverse transform
-    and gathers the band of the products' forward transform.  The new band
-    is the band times the full-step propagator plus the RK increment of
-    the stages.
+    combinations and the Leray projection on band arrays.  A stage scatters
+    its input into the half layout only for the band inverse transform; the
+    band forward transform of the products gives the band.  The new band is
+    the band times the full-step propagator plus the stages' RK increment.
 
     Every step returns the new band projected.  An unsampled step projects
     it by :meth:`~hyperns.lattice.WavenumberLattice.project_band` and

@@ -7,9 +7,8 @@ Conventions fixed here and used by every other module:
   transform pair is ``forward``/``inverse`` (``rfftn``/``irfftn``);
 * Parseval: ``||u||_L2^2 = L^dim * sum_k |u_hat(k)|^2``, with the weight
   L^dim given by ``WavenumberLattice.volume``;
-* the mean mode u_hat(0) is pinned to zero;
-* Nyquist rows (kappa_i = -n/2) are zeroed on construction of any
-  velocity field;
+* the mean mode u_hat(0) and the Nyquist rows (kappa_i = -n/2) are zeroed
+  on construction of any velocity field;
 * dealiasing keeps |kappa_i| < n/3 (Orszag's two-thirds rule); with
   ``dealiased=True`` the transforms skip the 1-D FFTs whose lines lie
   outside that band, in numpy's own axis order, so they match the full
@@ -24,21 +23,20 @@ symmetry u_hat(-kappa) = conj(u_hat(kappa)).  The time stepper works in
 the band layout, the modes the two-thirds rule keeps, |kappa_i| <= lim =
 ``dealias_limit``: shape (dim, 2 lim + 1, ..., lim + 1), rows kappa =
 0..lim then -lim..-1 on every axis but the last, kappa_last = 0..lim on
-the last.  ``gather_band`` copies it out of a half-layout array,
-``scatter_band`` writes it back into a zeroed one; the stepper scatters
-before each band ``inverse`` and gathers after each band ``forward``.
-Only this module relates the layouts (:func:`negate_kappa`, ``half``,
-``full_layout``, ``gather_band``, ``scatter_band``, ``pinned_modes``) or
-calls ``numpy.fft``; it also holds the arrays of the band layout
-(``band_k``, ``band_k_sq_pinned``, ``band_leray``).  A trajectory
-is a band array: ``WavenumberLattice.project_band`` gives it, in place,
-what the band of a projected velocity field holds, bit for bit.
+the last.  The band ``forward`` returns it; the band ``inverse`` takes the
+half layout, which ``scatter_band`` writes it into and ``gather_band``
+copies it out of.  Only this module relates the layouts
+(:func:`negate_kappa`, ``half``, ``full_layout``, ``gather_band``,
+``scatter_band``, ``pinned_modes``) or calls ``numpy.fft``; it also holds
+the band layout's arrays (``band_k``, ``band_k_sq_pinned``,
+``band_leray``), and ``project_band`` makes a band array what the band of
+a projected velocity field holds, bit for bit.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -46,14 +44,20 @@ DIV_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 
 
+@cache
+def _negation_blocks(dim: int) -> tuple:
+    """(destination, source) index of each block negate_kappa copies."""
+    parts = ((slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1)))
+    return tuple(tuple((...,) + axes for axes in zip(*combo))
+                 for combo in itertools.product(parts, repeat=dim))
+
+
 def negate_kappa(a: np.ndarray, dim: int) -> np.ndarray:
     """a(-kappa) on the last ``dim`` >= 1 axes (fftfreq order), in one copy:
     index 0 maps to itself, 1..n-1 to n-1..1.  Leading axes ride along."""
     out = np.empty_like(a)
-    parts = ((slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1)))
-    for combo in itertools.product(parts, repeat=dim):
-        dst, src = zip(*combo)
-        out[(...,) + dst] = a[(...,) + src]
+    for dst, src in _negation_blocks(dim):
+        out[dst] = a[src]
     return out
 
 
@@ -202,22 +206,22 @@ class WavenumberLattice:
         lim = self.dealias_limit
         return (2 * lim + 1,) * (self.dim - 1) + (lim + 1,)
 
-    def _band_blocks(self):
+    @cached_property
+    def _band_blocks(self) -> tuple:
         """(band index, half-layout index) of each block of the band: per
         axis but the last, the rows kappa = 0..lim, then -lim..-1."""
         lim = self.dealias_limit
         dst = (slice(0, lim + 1), slice(lim + 1, 2 * lim + 1))
         last = (slice(0, lim + 1),)
-        for combo in itertools.product(zip(dst, self._band_rows),
-                                       repeat=self.dim - 1):
-            band, half = zip(*combo)
-            yield (...,) + band + last, (...,) + half + last
+        return tuple(tuple((...,) + axes + last for axes in zip(*combo))
+                     for combo in itertools.product(zip(dst, self._band_rows),
+                                                    repeat=self.dim - 1))
 
     def gather_band(self, h: np.ndarray) -> np.ndarray:
         """The band layout of half-layout ``h`` (any leading axes): a
         contiguous copy of the modes the two-thirds rule keeps."""
         out = np.empty(h.shape[:-self.dim] + self.band_shape, dtype=h.dtype)
-        for band, half in self._band_blocks():
+        for band, half in self._band_blocks:
             out[band] = h[half]
         return out
 
@@ -226,7 +230,7 @@ class WavenumberLattice:
         everywhere else (any leading axes)."""
         shape = b.shape[:-self.dim] + self.grid_shape[:-1] + (self.half_modes,)
         out = np.zeros(shape, dtype=b.dtype)
-        for band, half in self._band_blocks():
+        for band, half in self._band_blocks:
             out[half] = b[band]
         return out
 
@@ -275,25 +279,24 @@ class WavenumberLattice:
                 f"array shape {a.shape} does not match lattice grid {shape}")
         return tuple(range(-self.dim, 0))
 
-    def _off_band_blocks(self):
+    @cached_property
+    def _off_band_blocks(self) -> tuple:
         """Basic-slice indices into the half layout whose blocks, which
         overlap, cover every mode off the band: kappa_last > lim, then the
         cut rows lim < kappa < n - lim of each axis before it."""
         n, lim = self.n_per_dim, self.dealias_limit
-        yield (..., slice(lim + 1, None))
-        cut = slice(lim + 1, n - lim)
-        for after in range(1, self.dim):
-            yield (..., cut) + (slice(None),) * after
+        cut = (..., slice(lim + 1, n - lim))
+        return ((..., slice(lim + 1, None)),) + tuple(
+            cut + (slice(None),) * after for after in range(1, self.dim))
 
     def off_band(self, h: np.ndarray) -> bool:
         """Whether half-layout ``h`` holds anything but zeros off the band
         (NaN counts), read block by block without a full-size temporary."""
-        return any(np.any(h[cut]) for cut in self._off_band_blocks())
+        return any(np.any(h[cut]) for cut in self._off_band_blocks)
 
-    @property
+    @cached_property
     def _band_rows(self) -> tuple:
-        """The kept rows of a full-layout axis under the two-thirds rule, as
-        two basic slices: kappa = 0..lim and kappa = -lim..-1."""
+        """The kept rows of an axis, kappa = 0..lim and -lim..-1, as slices."""
         n, lim = self.n_per_dim, self.dealias_limit
         return slice(0, lim + 1), slice(n - lim, n)
 
@@ -301,8 +304,9 @@ class WavenumberLattice:
                 ) -> np.ndarray:
         """Real field -> half-layout coefficients (1/n^dim normalization).
 
-        ``dealiased=True`` transforms only what the two-thirds rule keeps:
-        equal to the full transform bit for bit on the band, +0.0 elsewhere.
+        ``dealiased=True`` transforms only what the two-thirds rule keeps
+        and returns the band layout: ``gather_band`` of the full transform,
+        bit for bit.
         """
         axes = self._grid_axes(phys, self.grid_shape)
         if not dealiased:
@@ -316,9 +320,7 @@ class WavenumberLattice:
             for rows in self._band_rows:
                 lines = h[..., rows, :lim + 1]
                 np.fft.fft(lines, axis=-3, norm="forward", out=lines)
-        for cut in self._off_band_blocks():
-            h[cut] = 0.0
-        return h
+        return self.gather_band(h)
 
     def inverse(self, h: np.ndarray, *, dealiased: bool = False
                 ) -> np.ndarray:
@@ -334,13 +336,11 @@ class WavenumberLattice:
                                  norm="forward")
         # irfftn's own axis order, first axis first, on the kept lines only
         lim = self.dealias_limit
-        band = self._band_rows
         work = np.zeros(h.shape, dtype=np.complex128)
-        for rows in itertools.product(band, repeat=self.dim - 1):
-            idx = (...,) + rows + (slice(0, lim + 1),)
-            work[idx] = h[idx]
+        for _, half in self._band_blocks:
+            work[half] = h[half]
         if self.dim == 3:
-            for rows in band:
+            for rows in self._band_rows:
                 lines = work[..., rows, :lim + 1]
                 np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
         kept = work[..., :lim + 1]

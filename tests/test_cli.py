@@ -124,6 +124,20 @@ class TestRunCommand:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 4
 
+    @pytest.mark.parametrize("flags", [
+        ["run"],
+        ["sweep-eps", "--eps", "1e-2,3e-3,1e-3,1e-4", "--s", "3", "--T", "0.1"],
+        ["compare-alpha", "--alpha", "1.25,1.5"]], ids=lambda f: f[0])
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+        out = tmp_path / "out"
+        command, *rest = flags
+        assert main([command, str(cfg), *rest, "--out", str(out)]) == 2
+        err = assert_one_error_line(capsys, "config")
+        assert str(cfg) in err and "utf-8" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["table", "kernel"])
     def test_malformed_symbol_table_is_config_error(self, tmp_path, capsys,
                                                     kind):

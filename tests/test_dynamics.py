@@ -200,6 +200,46 @@ class TestStep:
         assert st.u.divergence_max() <= 1e-12
         assert st.u.hermitian_defect() <= 1e-12
 
+    # a step of an isotropic symbol commutes with the cube's symmetries up
+    # to roundoff, since the FFTs run their axes in another order: one step
+    # from 100 random fields at each n read at most 1.7e-16 of max |u_hat|
+    EQUIVARIANCE_BOUND = 1e-15
+
+    @staticmethod
+    def permute(c, perm):
+        """The field u'_j(y) = u_perm[j](x), y_j = x_perm[j]: components and
+        kappa axes permuted alike."""
+        return c[list(perm)].transpose((0,) + tuple(1 + p for p in perm))
+
+    @staticmethod
+    def reflect(c, axis):
+        """The field mirrored in x_axis: kappa_axis -> -kappa_axis, and
+        component ``axis`` negated."""
+        out = np.take(c, -np.arange(c.shape[1]) % c.shape[1], axis=1 + axis)
+        out[axis] *= -1.0
+        return out
+
+    @pytest.mark.parametrize("sym", [
+        ("permute", (0, 2, 1)), ("permute", (1, 0, 2)), ("permute", (1, 2, 0)),
+        ("permute", (2, 0, 1)), ("permute", (2, 1, 0)), ("reflect", 0),
+        ("reflect", 1), ("reflect", 2)], ids=str)
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_step_is_cubic_equivariant(self, n, sym):
+        lat = WavenumberLattice(n, 3)
+        stepper = Stepper(power_symbol(lat, 1.0, 1.25), 1e-2, 1e-4, 1e-3)
+        u = random_field(lat, n, 2.0, 3.0, 1.0)
+        kind, arg = sym
+
+        def transform(c):
+            return getattr(self, kind)(c, arg)
+
+        u1 = stepper.step(TrajectoryState.start(u)).u.coeffs
+        v1 = stepper.step(TrajectoryState.start(
+            SpectralVelocity(lat, transform(u.coeffs)))).u.coeffs
+        scale = np.max(np.abs(u1))
+        assert np.max(np.abs(v1 - transform(u1))) <= (
+            self.EQUIVARIANCE_BOUND * scale)
+
 
 class TestRun:
     def test_taylor_green_decay(self):

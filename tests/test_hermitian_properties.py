@@ -91,11 +91,16 @@ def noise_fields(draw):
 
 
 def full_transforms():
-    """Patch the lattice so that `dealiased=True` runs the full transforms."""
+    """Patch the lattice so that `dealiased=True` runs the full transforms;
+    the forward one then gives the band of the full transform."""
     forward, inverse = WavenumberLattice.forward, WavenumberLattice.inverse
+
+    def full_forward(self, a, *, dealiased=False):
+        h = forward(self, a)
+        return self.gather_band(h) if dealiased else h
+
     return mock.patch.multiple(
-        WavenumberLattice,
-        forward=lambda self, a, *, dealiased=False: forward(self, a),
+        WavenumberLattice, forward=full_forward,
         inverse=lambda self, a, *, dealiased=False: inverse(self, a))
 
 
