@@ -67,7 +67,8 @@ def _config_input(what: str):
 
 def _load_config(path) -> SimConfig:
     with _config_input(str(path)):  # a UnicodeDecodeError is a ValueError
-        return parse_config(Path(path).read_text(encoding="utf-8"))
+        # utf-8-sig: a byte-order mark, as some editors write, is not a key
+        return parse_config(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @contextlib.contextmanager

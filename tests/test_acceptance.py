@@ -3,15 +3,17 @@
 Every test prints ``criterion N (name): PASS/FAIL (metric)`` before
 asserting, so a ``pytest -s`` run doubles as a sign-off report.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import bandlimited_field, brute_force_nonlinear, shear_field
 from hyperns.cli import main
 from hyperns.config import SimConfig
-from hyperns.diagnostics import defect_split, energy_budget
+from hyperns.diagnostics import DefectSplitSink, energy_budget
 from hyperns.dynamics import nonlinear_term, run
-from hyperns.experiments import (StateRecorder, dilate, dilation_norm_exponent,
+from hyperns.experiments import (dilate, dilation_norm_exponent,
                                  scaling_covariance_residual,
                                  vanishing_eps_sweep)
 from hyperns.lattice import (SobolevIndex, WavenumberLattice, inner_product,
@@ -25,34 +27,25 @@ def report(number, name, ok, metric):
 
 # ---------------------------------------------------------------- criterion 2/7
 # The n=128 nonlinear run is shared between the budget criterion and the
-# defect criterion; the sink decimates the stored states to keep memory flat.
+# defect criterion; one streaming defect split per eta rides along.
 
 REFERENCE_CFG = SimConfig(nu=1e-2, eps=1e-4, symbol="power", alpha=1.25,
                           n=128, dim=2, dt=1e-3, t_end=1.0, ic="random",
                           amplitude=1.0, seed=11, output_every=1)
 
 
-class DecimatingRecorder:
-    """Keep every k-th sampled state (plus the first) for defect analysis."""
-
-    def __init__(self, keep_every):
-        self.keep_every = keep_every
-        self.count = 0
-        self.times = []
-        self.states = []
-
-    def __call__(self, state, record):
-        if self.count % self.keep_every == 0:
-            self.times.append(state.t)
-            self.states.append(state.u.copy())
-        self.count += 1
+def defect_sinks(cfg, sym):
+    """One DefectSplitSink per eta of criterion 7."""
+    return tuple(DefectSplitSink(sym, cfg.nu, cfg.eps, eta)
+                 for eta in (0.25, 0.5))
 
 
 @pytest.fixture(scope="module")
 def reference_run():
-    rec = DecimatingRecorder(10)
-    final, records = run(REFERENCE_CFG, sinks=(rec,))
-    return final, records, rec
+    sym = REFERENCE_CFG.build_symbol()
+    sinks = defect_sinks(REFERENCE_CFG, sym)
+    final, records = run(REFERENCE_CFG, sinks=sinks, symbol=sym)
+    return final, records, sinks
 
 
 class TestCriterion1:
@@ -171,14 +164,15 @@ class TestCriterion6:
 
 class TestCriterion7:
     def test_defect_split_bounds(self, reference_run):
-        _, records, rec = reference_run
+        _, records, sinks = reference_run
         checks = []
 
-        def check(times, states, nu, eps, alpha, total):
-            lat = states[0].lattice
-            sym = power_symbol(lat, 1.0, alpha)
-            for eta in (0.25, 0.5):
-                split = defect_split(times, states, sym, nu, eps, eta)
+        def check(sinks, records, alpha):
+            hyper = np.array([r.hyper_dissipation_rate for r in records])
+            ts = np.array([r.t for r in records])
+            total = float(np.trapezoid(hyper, ts))
+            for split in (sink.result() for sink in sinks):
+                eta = split.eta
                 grad_int = split.bound_rhs / (split.bound_constant
                                               * eta ** (2 * alpha - 2))
                 bound = eta ** (2 * alpha - 2) * grad_int  # C = 1 for mu = 1
@@ -186,26 +180,17 @@ class TestCriterion7:
                                abs(split.low + split.high - total)
                                / max(total, 1e-300)))
 
-        cfg = REFERENCE_CFG
-        hyper = np.array([r.hyper_dissipation_rate for r in records])
-        ts = np.array([r.t for r in records])
-        # the decimated states carry their own trapezoid total
-        sub = np.isin(ts, np.asarray(rec.times))
-        total2 = float(np.trapezoid(hyper[sub], ts[sub]))
-        check(rec.times, rec.states, cfg.nu, cfg.eps, cfg.alpha, total2)
+        check(sinks, records, REFERENCE_CFG.alpha)
 
         sweep_cfg = SimConfig(nu=0.1, eps=0.0, symbol="power", alpha=1.5,
                               n=64, dim=2, dt=2e-3, t_end=0.5, ic="random",
                               k_c=1.5, amplitude=0.5, seed=7, output_every=5)
+        sym = sweep_cfg.build_symbol()
         for eps in (1e-2, 1e-3):
-            r = StateRecorder()
-            from dataclasses import replace
-            _, recs = run(replace(sweep_cfg, eps=eps), sinks=(r,))
-            h = np.array([x.hyper_dissipation_rate for x in recs])
-            tt = np.array([x.t for x in recs])
-            sub = np.isin(tt, np.asarray(r.times))
-            total = float(np.trapezoid(h[sub], tt[sub]))
-            check(r.times, r.states, sweep_cfg.nu, eps, sweep_cfg.alpha, total)
+            cfg = replace(sweep_cfg, eps=eps)
+            sinks = defect_sinks(cfg, sym)
+            _, recs = run(cfg, sinks=sinks, symbol=sym)
+            check(sinks, recs, sweep_cfg.alpha)
 
         bound_ok = all(c[0] for c in checks)
         worst_add = max(c[1] for c in checks)

@@ -12,7 +12,7 @@ from hyperns import dynamics, experiments, snapshot
 from hyperns.cli import main
 from hyperns.config import config_hash, parse_config
 from hyperns.dynamics import random_field
-from hyperns.lattice import WavenumberLattice
+from hyperns.lattice import SpectralVelocity, WavenumberLattice
 from hyperns.snapshot import write_snapshot
 
 CONFIG = """\
@@ -138,6 +138,44 @@ class TestRunCommand:
         assert str(cfg) in err and "utf-8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["run"],
+        ["sweep-eps", "--eps", "1e-2,3e-3,1e-3,1e-4", "--s", "3", "--T",
+         "0.02"],
+        ["compare-alpha", "--alpha", "1.25,1.5"]], ids=lambda f: f[0])
+    def test_config_with_byte_order_mark_is_read(self, tmp_path, flags):
+        # some editors start a UTF-8 file with a byte-order mark; it is not
+        # part of the first key, and the run is the run of the plain file
+        text = (CONFIG + "k_c = 1.5\n").encode()
+        command, *rest = flags
+        run_dirs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            out = tmp_path / name
+            assert main([command, str(cfg), *rest, "--out", str(out)]) == 0
+            run_dirs.append(run_dir_of(out).name)
+        assert run_dirs[0] == run_dirs[1]
+
+    def test_kernel_symbol_run(self, tmp_path):
+        # a per-shell kernel table c_hat(k) = |k|^(1/2), so m = |k|^(5/2):
+        # the run dissipates through it, and splits no defect, which is
+        # written for power symbols only
+        table = tmp_path / "kernel.csv"
+        table.write_text("k1,k2,k3,re_ell,im_ell\n" + "".join(
+            f"{k},0,0,{k ** 0.5!r},0\n" for k in range(24)))
+        cfg = write_config(tmp_path, CONFIG.replace(
+            "symbol = power", f"symbol = kernel:{table}"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        rd = run_dir_of(out)
+        manifest = json.loads((rd / "manifest.json").read_text())
+        assert manifest["files"] == ["diagnostics.csv", "final.hypf",
+                                     "spectrum.csv"]
+        assert not (rd / "defect.csv").exists()
+        hyper = read_columns(rd / "diagnostics.csv")["hyper_dissipation_rate"]
+        assert np.all(hyper > 0)
+
     @pytest.mark.parametrize("kind", ["table", "kernel"])
     def test_malformed_symbol_table_is_config_error(self, tmp_path, capsys,
                                                     kind):
@@ -248,7 +286,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("line", [
         "t_end = inf", "dt = inf", "t_end = 2e-3", "seed = -1", "k_c = 0",
-        "eps = nan", "amplitude = nan", "amplitude = 0", "mu = inf"])
+        "eps = nan", "amplitude = nan", "amplitude = 0", "mu = inf",
+        "nu = 0", "nu = -1e-2", "symbol = kernel", "symbol = table",
+        "nu 1e-2"])
     def test_degenerate_config_is_config_error(self, tmp_path, capsys, line):
         key = line.split()[0]
         text = "".join(l + "\n" for l in CONFIG.splitlines()
@@ -365,6 +405,40 @@ class TestResumedRun:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 4
         assert "non-finite" in assert_one_error_line(capsys, "io")
+        assert failed_manifest(out, "SnapshotError")["files"] == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("box_length", "nan"), ("box_length", "inf"), ("t", "inf"),
+        ("t", "-inf"), ("t", "nan")])
+    def test_non_finite_snapshot_header_exit_code(self, tmp_path, capsys,
+                                                  key, value):
+        u = random_field(WavenumberLattice(16, 2), 5, 2.0, 3.0, 0.5)
+        snap = tmp_path / "start.hypf"
+        write_snapshot(u, snap)
+        blob = snap.read_bytes()
+        hlen, = struct.unpack_from("<I", blob, 8)
+        header = "".join(
+            (f"{key}={value}" if line.startswith(key + "=") else line) + "\n"
+            for line in blob[12:12 + hlen].decode().splitlines()).encode()
+        snap.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                         + blob[12 + hlen:])
+        cfg = self.resume_config(tmp_path, snap, dim=2)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 4
+        assert "malformed header" in assert_one_error_line(capsys, "io")
+        assert failed_manifest(out, "SnapshotError")["files"] == []
+
+    def test_divergent_snapshot_exit_code(self, tmp_path, capsys):
+        # u = (cos x_1, 0): Hermitian, finite, mean-free, but div u != 0
+        lat = WavenumberLattice(16, 2)
+        coeffs = np.zeros((2,) + lat.grid_shape, dtype=complex)
+        coeffs[0, 1, 0] = coeffs[0, -1, 0] = 0.5
+        snap = tmp_path / "start.hypf"
+        write_snapshot(SpectralVelocity(lat, coeffs), snap)
+        cfg = self.resume_config(tmp_path, snap, dim=2)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 4
+        assert "divergence" in assert_one_error_line(capsys, "io")
         assert failed_manifest(out, "SnapshotError")["files"] == []
 
     def test_non_zero_mean_mode_snapshot_exit_code(self, tmp_path, capsys):

@@ -15,7 +15,6 @@ from hyperns.diagnostics import (DefectSplitSink, crossover_frequency,
                                  mode_decay_curve, shell_spectrum)
 from hyperns.dynamics import (Stepper, TrajectoryState, initial_condition,
                               run, smallness_probe)
-from hyperns.experiments import StateRecorder
 from hyperns.lattice import (SobolevIndex, SpectralVelocity,
                              WavenumberLattice, sobolev_norm)
 from hyperns.symbols import (MultiplierSymbol, classify, kernel_symbol,
@@ -191,11 +190,16 @@ class TestDefectSplit:
                         amplitude=0.5, output_every=3)
         sym = cfg.build_symbol()
         sink = DefectSplitSink(sym, cfg.nu, cfg.eps, cfg.eta)
-        rec = StateRecorder()
-        run(cfg, sinks=(sink, rec), symbol=sym)
+        times, fields = [], []
+
+        def record(st, rec):
+            times.append(st.t)
+            fields.append(st.u)
+
+        run(cfg, sinks=(sink, record), symbol=sym)
         assert not hasattr(sink, "states")
-        assert sink.result() == defect_split(rec.times, rec.states, sym,
-                                             cfg.nu, cfg.eps, cfg.eta)
+        assert sink.result() == defect_split(times, fields, sym, cfg.nu,
+                                             cfg.eps, cfg.eta)
 
     def test_envelope_bound_of_a_kernel_symbol(self):
         # m = sum_j k_j^2 |k|^{2 alpha - 2} = |k|^{2 alpha}, alpha = 5/4,

@@ -12,7 +12,7 @@ from hyperns import dynamics, experiments
 from hyperns.config import ConfigError, SimConfig
 from hyperns.diagnostics import shell_spectrum
 from hyperns.dynamics import NumericalError, run, taylor_green
-from hyperns.experiments import (StateRecorder, alpha_comparison, dilate,
+from hyperns.experiments import (alpha_comparison, dilate,
                                  dilation_norm_exponent,
                                  kernel_interpolation_study,
                                  scaling_covariance_residual,
@@ -155,24 +155,33 @@ class TestStreamingSweep:
     CFG = dict(n=32, nu=0.1, alpha=1.5, k_c=1.5, output_every=10)
     EPS = [1e-3, 1e-2, 1e-4, 3e-3]   # deliberately unsorted
 
-    def test_sup_error_equals_recorded_post_pass(self):
+    @pytest.mark.parametrize("kw, T", [
+        (CFG, 0.1),
+        (dict(n=16, dim=3, nu=0.1, alpha=1.5, dt=2e-3, ic="taylor-green-3d",
+              output_every=2), 0.04)], ids=["2d-n32", "3d-n16-taylor-green"])
+    def test_sup_error_equals_recorded_post_pass(self, kw, T):
         # the sweep's streaming distances against the record-then-compare
-        # algorithm: the same expressions, so the same floats
-        cfg = replace(base_config(**self.CFG), t_end=0.1)
-        res = vanishing_eps_sweep(cfg, self.EPS, s=3.0, T=0.1)
-        ref = StateRecorder()
-        run(replace(cfg, eps=0.0), sinks=(ref,))
+        # algorithm on full-layout fields: the same floats
+        cfg = replace(base_config(**kw), t_end=T)
+        res = vanishing_eps_sweep(cfg, self.EPS, s=3.0, T=T)
+
+        def recorded(eps):
+            fields = []
+            run(replace(cfg, eps=eps),
+                sinks=(lambda st, rec: fields.append(st.u),))
+            return fields
+
+        ref = recorded(0.0)
         idx = SobolevIndex(2.0, "inhomogeneous")
         expect = []
         for eps in sorted(self.EPS):
-            rec = StateRecorder()
-            run(replace(cfg, eps=eps), sinks=(rec,))
-            assert len(rec.states) == len(ref.states)
+            fields = recorded(eps)
+            assert len(fields) == len(ref)
             expect.append(float(max(
                 sobolev_norm(SpectralVelocity(uref.lattice,
                                               ueps.coeffs - uref.coeffs,
                                               uref.t), idx)
-                for uref, ueps in zip(ref.states, rec.states))))
+                for uref, ueps in zip(ref, fields))))
         assert res.outcomes["sup_error"].tolist() == expect
 
     def test_runs_in_calling_thread_reference_first(self, monkeypatch):
