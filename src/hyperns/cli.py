@@ -34,8 +34,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-DIAG_COLUMNS = ["t", "energy", "enstrophy", "visc_dissipation_rate",
-                "hyper_dissipation_rate", "budget_residual"]
+RECORD_COLUMNS = ["t", "energy", "enstrophy", "visc_dissipation_rate",
+                  "hyper_dissipation_rate"]
+DIAG_COLUMNS = RECORD_COLUMNS + ["budget_residual"]
 
 
 def _fmt(x) -> str:
@@ -105,9 +106,13 @@ def run_directory(cfg: SimConfig, out):
         path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_diagnostics(path, records) -> None:
+def _write_diagnostics(path, records) -> float:
+    """Write diagnostics.csv; returns its largest budget residual."""
+    residuals = energy_budget(records).tolist()
     write_csv(path, DIAG_COLUMNS,
-              [[getattr(r, c) for c in DIAG_COLUMNS] for r in records])
+              [[getattr(r, c) for c in RECORD_COLUMNS] + [res]
+               for r, res in zip(records, residuals)])
+    return max(residuals)
 
 
 def _read_diagnostics(path) -> list:
@@ -125,7 +130,7 @@ def _read_diagnostics(path) -> list:
                              f"{len(header)} columns")
         row = dict(zip(header, map(float, fields)))
         records.append(DiagnosticsRecord(
-            **{c: row[c] for c in DIAG_COLUMNS}, shell_spectrum=np.empty(0)))
+            **{c: row[c] for c in RECORD_COLUMNS}, shell_spectrum=np.empty(0)))
     if not records:
         raise ValueError("no data rows")
     return records
@@ -147,7 +152,7 @@ def cmd_run(args) -> int:
                 _write_diagnostics(run_dir / "diagnostics.csv", err.records)
                 files.append("diagnostics.csv")
             raise
-        _write_diagnostics(run_dir / "diagnostics.csv", records)
+        worst = _write_diagnostics(run_dir / "diagnostics.csv", records)
         files.append("diagnostics.csv")
         spec = records[-1].shell_spectrum
         write_csv(run_dir / "spectrum.csv", ["shell", "energy"],
@@ -162,8 +167,7 @@ def cmd_run(args) -> int:
                       ["eta", "crossover", "low", "high", "bound_rhs"],
                       [(d.eta, d.crossover, d.low, d.high, d.bound_rhs)])
             files.append("defect.csv")
-    print(f"run complete: {run_dir} "
-          f"(max budget residual {max(r.budget_residual for r in records):.3e})")
+    print(f"run complete: {run_dir} (max budget residual {worst:.3e})")
     return EXIT_OK
 
 
@@ -270,6 +274,8 @@ def cmd_linear_spectra(args) -> int:
 
 
 def cmd_energy_audit(args) -> int:
+    if not 0 <= args.tol < np.inf:
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol:g}")
     diag = Path(args.rundir) / "diagnostics.csv"
     try:
         worst = float(np.max(energy_budget(_read_diagnostics(diag))))

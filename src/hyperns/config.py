@@ -102,8 +102,8 @@ class SimConfig:
     def build_lattice(self) -> WavenumberLattice:
         return WavenumberLattice(self.n, self.dim, self.box_length)
 
-    def build_symbol(self, lattice: WavenumberLattice | None = None):
-        lattice = lattice or self.build_lattice()
+    def build_symbol(self):
+        lattice = self.build_lattice()
         kind, _, arg = self.symbol.partition(":")
         if kind == "power":
             return _symbols.power_symbol(lattice, self.mu, self.alpha)

@@ -12,14 +12,13 @@ from .symbols import MultiplierSymbol, classify
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-sample energy accounting of one trajectory."""
+    """One sample's energy accounting; a series' residual is energy_budget's."""
 
     t: float
     energy: float
     enstrophy: float
     visc_dissipation_rate: float
     hyper_dissipation_rate: float
-    budget_residual: float
     shell_spectrum: np.ndarray  # E(k_s) per integer shell, index = shell
 
 
@@ -42,7 +41,6 @@ def make_record(state, nu: float, eps: float,
         enstrophy=0.5 * grad_sq,
         visc_dissipation_rate=nu * grad_sq,
         hyper_dissipation_rate=eps * hyper,
-        budget_residual=0.0,
         shell_spectrum=_shell_energies(lat, mag2),
     )
 
@@ -84,11 +82,6 @@ def energy_budget(records: list) -> np.ndarray:
     integral = np.zeros_like(rate)
     integral[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))
     return np.abs(e - e0 + integral) / e0
-
-
-def attach_budget_residuals(records: list) -> None:
-    for r, res in zip(records, energy_budget(records)):
-        r.budget_residual = float(res)
 
 
 def crossover_frequency(nu: float, eps: float, alpha: float) -> float:

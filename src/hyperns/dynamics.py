@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import DiagnosticsRecord, attach_budget_residuals, make_record
+from .diagnostics import DiagnosticsRecord, make_record
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
                       _sobolev_norm, dealias, leray_project)
 from .symbols import MultiplierSymbol
@@ -67,16 +67,10 @@ class TrajectoryState:
 
     @classmethod
     def start(cls, u: SpectralVelocity) -> "TrajectoryState":
-        """The state a trajectory starts from: ``u`` at its own time tag,
-        with its band.  Refuses, with a ValueError, a ``u`` whose half
-        layout, which the band is gathered from, holds anything off the
-        band; ``u`` is not modified."""
-        lat = u.lattice
-        h = lat.half(u.coeffs)
-        if lat.off_band(h):
-            raise ValueError("start holds modes off the two-thirds band "
-                             "|kappa_i| < n/3; dealias it first")
-        return cls(u=u, t=u.t, step_index=0, band=lat.gather_band(h))
+        """The state a trajectory starts from: ``u``, unmodified, at its own
+        time tag, with its band; ``WavenumberLattice.band_of`` refuses, with
+        a ValueError, a ``u`` with anything off the band."""
+        return cls(u=u, t=u.t, step_index=0, band=u.lattice.band_of(u.coeffs))
 
     @cached_property
     def mag2(self) -> np.ndarray:
@@ -124,9 +118,9 @@ def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     under the two-thirds rule.  This is the kernel the time stepper runs.
     """
     lat = u.lattice
-    d, _ = _band_nonlinear(lat, lat.gather_band(lat.half(u.coeffs)))
+    d, _ = _band_nonlinear(lat, lat.gather_band(u.coeffs))
     d *= 1j
-    return SpectralVelocity.from_half(lat, lat.scatter_band(d), u.t)
+    return SpectralVelocity.from_band(lat, d, u.t)
 
 
 def _decay(k_sq: np.ndarray, m: np.ndarray, nu: float, eps: float,
@@ -165,8 +159,8 @@ class Stepper:
                  dt: float):
         self.lattice = lattice = sym.lattice
         self.dt = dt
-        k_sq = lattice.gather_band(lattice.half(lattice.k_sq))
-        m = lattice.gather_band(lattice.half(sym.m))
+        k_sq = lattice.gather_band(lattice.k_sq)
+        m = lattice.gather_band(sym.m)
         self.e_full_band = _decay(k_sq, m, nu, eps, dt)
         self.e_half_band = _decay(k_sq, m, nu, eps, dt / 2.0)
 
@@ -210,11 +204,8 @@ class Stepper:
         # the projections guard against roundoff drift of the analytic
         # invariants
         if sampled:
-            # the scatter holds +0.0 off the band and dies once the full
-            # layout is built
-            u = leray_project(SpectralVelocity.from_half(
-                lat, lat.scatter_band(c1), t1))
-            band = lat.gather_band(lat.half(u.coeffs))
+            u = leray_project(SpectralVelocity.from_band(lat, c1, t1))
+            band = lat.gather_band(u.coeffs)
         else:
             u, band = None, lat.project_band(c1)
         return TrajectoryState(u, t1, state.step_index + 1, cfl, band)
@@ -243,7 +234,7 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((lattice.dim,) + lattice.grid_shape)
-    coeffs = lattice.full_layout(lattice.forward(noise))
+    coeffs = SpectralVelocity.from_physical(lattice, noise).coeffs
     kmag = lattice.k_mag
     profile = np.zeros(lattice.grid_shape)
     nz = kmag > 0
@@ -291,11 +282,10 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
     share that state's ``mag2``, computed once.  The trajectory is a band
     array (:meth:`Stepper.step`); only sampled steps build the full-layout
     field.  A start with content off the band is refused with a ValueError
-    (:meth:`TrajectoryState.start`) before any step or sink call.  Budget
-    residuals are attached to the records after the loop.  On a numerical
-    failure the partial series is attached to the raised
+    (:meth:`TrajectoryState.start`) before any step or sink call.  On a
+    numerical failure the partial series is attached to the raised
     :class:`NumericalError`, whose state may be a band state with no
-    ``u``.
+    ``u``.  A series' budget residual is ``energy_budget(records)``.
     """
     sym = cfg.build_symbol() if symbol is None else symbol
     # the symbol's lattice already holds the cached wavevector arrays
@@ -329,12 +319,10 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
         try:
             state = stepper.step(state, sampled)
         except NumericalError as err:
-            attach_budget_residuals(records)
             err.records = records
             raise
         if sampled:
             sample(state)
-    attach_budget_residuals(records)
     return state, records
 
 

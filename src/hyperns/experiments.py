@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SimConfig
-from .diagnostics import DefectSplitSink
+from .diagnostics import DefectSplitSink, energy_budget
 from .dynamics import NumericalError, initial_condition, nonlinear_term, run
 from .lattice import (SobolevIndex, SpectralVelocity, WavenumberLattice,
                       sobolev_norm)
@@ -144,10 +144,19 @@ def sweep_eps_inputs(base_cfg: SimConfig, eps_list, s: float, T: float):
     """The checked arguments of a sweep, built before any run.
 
     Returns (the eps values of sweep_eps_values, the config with t_end = T,
-    the inhomogeneous H^{s-1} index); ValueError on a bad argument.
+    the inhomogeneous H^{s-1} index); ValueError on a bad argument, an s
+    whose H^{s-1} weight overflows or underflows to 0 on the lattice too.
     """
     eps_values, cfg_T = sweep_eps_values(eps_list), replace(base_cfg, t_end=T)
-    return eps_values, cfg_T, SobolevIndex(s - 1.0, "inhomogeneous")
+    idx, lat = SobolevIndex(s - 1.0, "inhomogeneous"), cfg_T.build_lattice()
+    # sobolev_norm's weight: 1 at k = 0, most extreme where all kappa_i = -n/2
+    k_sq_max = lat.dim * (lat.k_unit * lat.n_per_dim / 2) ** 2
+    with np.errstate(over="ignore", under="ignore"):
+        w = (1.0 + np.float64(k_sq_max)) ** idx.s
+    if not 0 < w < np.inf:
+        raise ValueError(f"s = {s:g}: the weight (1+|k|^2)^(s-1) overflows "
+                         "or underflows to 0 on this lattice")
+    return eps_values, cfg_T, idx
 
 
 def _check_resolved(state, record) -> None:
@@ -167,12 +176,12 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
     initial condition all runs share, runs the eps=0 reference, then each
     eps of sweep_eps_values(eps_list); err(eps) = sup over samples of the
     inhomogeneous H^{s-1} distance.  All runs share dt and output_every,
-    so their samples align by index; the reference keeps only the band
-    array of each sample, and a distance is taken on the full-layout field
-    of the band difference.  NumericalError if the reference's spectral
-    tail fraction exceeds 1e-8, the discrete stand-in for smoothness on
-    [0, T].  ``max_workers`` is accepted and ignored: the runs go one after
-    another in the calling thread.
+    so their samples align by index; the reference keeps the band of each
+    sample, and a distance is that of the field of the band difference.
+    NumericalError if the reference's spectral tail fraction exceeds 1e-8,
+    the discrete stand-in for smoothness on [0, T], or at the first err(eps)
+    that is 0 or not finite, which the log-log fit cannot take.
+    ``max_workers`` is ignored: the runs go one by one in the calling thread.
     """
     eps_list, cfg_T, idx = sweep_eps_inputs(base_cfg, eps_list, s, T)
     sym = cfg_T.build_symbol()
@@ -189,12 +198,15 @@ def vanishing_eps_sweep(base_cfg: SimConfig, eps_list, s: float, T: float,
         def distance(state, record):
             # summed over the full layout: a sum over the band or the half
             # layout can be an ulp off the full-layout sum
-            diff = lat.scatter_band(state.band - ref[len(errs)])
-            errs.append(sobolev_norm(
-                SpectralVelocity.from_half(lat, diff, state.t), idx))
+            errs.append(sobolev_norm(SpectralVelocity.from_band(
+                lat, state.band - ref[len(errs)], state.t), idx))
 
         run(replace(cfg_T, eps=eps), sinks=(distance,), symbol=sym, u0=u0)
-        return float(max(errs))
+        err = float(np.max(errs))
+        if not 0 < err < np.inf:
+            raise NumericalError(f"sup_error {err!r} at eps={eps!r} is not "
+                                 "positive and finite, as the rate fit needs")
+        return err
 
     errors = [one(eps) for eps in eps_list]
     log_e, log_err = np.log(eps_list), np.log(errors)
@@ -276,6 +288,6 @@ def kernel_interpolation_study(base_cfg: SimConfig, families) -> list:
                 # sampled every step: the residual is a trapezoid over samples
                 _, records = run(replace(base_cfg, output_every=1), symbol=sym,
                                  u0=u0)
-                entry["budget_residual"] = max(r.budget_residual for r in records)
+                entry["budget_residual"] = float(np.max(energy_budget(records)))
         report.append(entry)
     return report

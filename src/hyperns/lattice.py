@@ -24,13 +24,13 @@ the band layout, the modes the two-thirds rule keeps, |kappa_i| <= lim =
 ``dealias_limit``: shape (dim, 2 lim + 1, ..., lim + 1), rows kappa =
 0..lim then -lim..-1 on every axis but the last, kappa_last = 0..lim on
 the last.  The band ``forward`` returns it; the band ``inverse`` takes the
-half layout, which ``scatter_band`` writes it into and ``gather_band``
-copies it out of.  Only this module relates the layouts
+half layout, which ``scatter_band`` writes it into; ``gather_band`` copies
+it out of the half or the full layout.  Only this module relates layouts
 (:func:`negate_kappa`, ``half``, ``full_layout``, ``gather_band``,
-``scatter_band``, ``pinned_modes``) or calls ``numpy.fft``; it also holds
-the band layout's arrays (``band_k``, ``band_k_sq_pinned``,
-``band_leray``), and ``project_band`` makes a band array what the band of
-a projected velocity field holds, bit for bit.
+``scatter_band``, ``band_of``, ``SpectralVelocity.from_band``,
+``pinned_modes``) or calls ``numpy.fft``; it holds the band's arrays
+(``band_k``, ``band_k_sq_pinned``, ``band_leray``), and ``project_band``
+makes a band array what a projected field's band holds, bit for bit.
 """
 from __future__ import annotations
 
@@ -208,7 +208,7 @@ class WavenumberLattice:
 
     @cached_property
     def _band_blocks(self) -> tuple:
-        """(band index, half-layout index) of each block of the band: per
+        """(band index, half- or full-layout index) of each band block: per
         axis but the last, the rows kappa = 0..lim, then -lim..-1."""
         lim = self.dealias_limit
         dst = (slice(0, lim + 1), slice(lim + 1, 2 * lim + 1))
@@ -217,13 +217,22 @@ class WavenumberLattice:
                      for combo in itertools.product(zip(dst, self._band_rows),
                                                     repeat=self.dim - 1))
 
-    def gather_band(self, h: np.ndarray) -> np.ndarray:
-        """The band layout of half-layout ``h`` (any leading axes): a
-        contiguous copy of the modes the two-thirds rule keeps."""
-        out = np.empty(h.shape[:-self.dim] + self.band_shape, dtype=h.dtype)
+    def gather_band(self, a: np.ndarray) -> np.ndarray:
+        """The band layout of half- or full-layout ``a`` (any leading axes):
+        a contiguous copy of the modes the two-thirds rule keeps."""
+        out = np.empty(a.shape[:-self.dim] + self.band_shape, dtype=a.dtype)
         for band, half in self._band_blocks:
-            out[band] = h[half]
+            out[band] = a[half]
         return out
+
+    def band_of(self, a: np.ndarray) -> np.ndarray:
+        """``gather_band(a)``; ValueError if the half layout of ``a`` has
+        more nonzeros (NaN counts, -0.0 does not) than the band."""
+        band = self.gather_band(a)
+        if np.count_nonzero(self.half(a)) != np.count_nonzero(band):
+            raise ValueError("coefficients hold modes off the two-thirds "
+                             "band |kappa_i| < n/3; dealias them first")
+        return band
 
     def scatter_band(self, b: np.ndarray) -> np.ndarray:
         """Half-layout array holding band-layout ``b`` on the band and +0.0
@@ -237,12 +246,12 @@ class WavenumberLattice:
     @cached_property
     def band_k(self) -> np.ndarray:
         """k in the band layout."""
-        return self.gather_band(self.half(self.k))
+        return self.gather_band(self.k)
 
     @cached_property
     def band_k_sq_pinned(self) -> np.ndarray:
         """``k_sq_pinned`` in the band layout."""
-        return self.gather_band(self.half(self.k_sq_pinned))
+        return self.gather_band(self.k_sq_pinned)
 
     @cached_property
     def band_leray(self) -> np.ndarray:
@@ -278,21 +287,6 @@ class WavenumberLattice:
             raise ValueError(
                 f"array shape {a.shape} does not match lattice grid {shape}")
         return tuple(range(-self.dim, 0))
-
-    @cached_property
-    def _off_band_blocks(self) -> tuple:
-        """Basic-slice indices into the half layout whose blocks, which
-        overlap, cover every mode off the band: kappa_last > lim, then the
-        cut rows lim < kappa < n - lim of each axis before it."""
-        n, lim = self.n_per_dim, self.dealias_limit
-        cut = (..., slice(lim + 1, n - lim))
-        return ((..., slice(lim + 1, None)),) + tuple(
-            cut + (slice(None),) * after for after in range(1, self.dim))
-
-    def off_band(self, h: np.ndarray) -> bool:
-        """Whether half-layout ``h`` holds anything but zeros off the band
-        (NaN counts), read block by block without a full-size temporary."""
-        return any(np.any(h[cut]) for cut in self._off_band_blocks)
 
     @cached_property
     def _band_rows(self) -> tuple:
@@ -420,6 +414,12 @@ class SpectralVelocity:
         v.lattice, v.coeffs, v.t = lattice, lattice.full_layout(h), t
         v._pin()
         return v
+
+    @classmethod
+    def from_band(cls, lattice: WavenumberLattice, b: np.ndarray,
+                  t: float = 0.0) -> "SpectralVelocity":
+        """``from_half`` of band-layout ``b`` scattered into the half layout."""
+        return cls.from_half(lattice, lattice.scatter_band(b), t)
 
     def l2_norm(self) -> float:
         lat = self.lattice

@@ -9,8 +9,9 @@ import pytest
 
 from conftest import calls_of
 from hyperns import dynamics, experiments, snapshot
-from hyperns.cli import main
+from hyperns.cli import _read_diagnostics, main
 from hyperns.config import config_hash, parse_config
+from hyperns.diagnostics import energy_budget
 from hyperns.dynamics import random_field
 from hyperns.lattice import SpectralVelocity, WavenumberLattice
 from hyperns.snapshot import write_snapshot
@@ -78,6 +79,17 @@ def assert_one_error_line(capsys, kind):
     assert err.startswith(f"error: {kind}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     return err
+
+
+def fail_third_cfl_check(monkeypatch):
+    """Make the third step's CFL check of every run fail."""
+    cfl, calls = dynamics.Stepper.cfl, []
+
+    def faulty(self, phys):
+        calls.append(None)
+        return 10.0 if len(calls) == 3 else cfl(self, phys)
+
+    monkeypatch.setattr(dynamics.Stepper, "cfl", faulty)
 
 
 def failed_manifest(out_root, exception):
@@ -258,13 +270,7 @@ class TestRunCommand:
             self, tmp_path, capsys, monkeypatch):
         # the third step's CFL check fails; samples fall every 5 steps, so
         # the last good state is a band state with no full-layout field
-        cfl, calls = dynamics.Stepper.cfl, []
-
-        def faulty(self, phys):
-            calls.append(None)
-            return 10.0 if len(calls) == 3 else cfl(self, phys)
-
-        monkeypatch.setattr(dynamics.Stepper, "cfl", faulty)
+        fail_third_cfl_check(monkeypatch)
         cfg = write_config(tmp_path, CONFIG.replace("output_every = 2",
                                                     "output_every = 5"))
         out = tmp_path / "out"
@@ -272,6 +278,22 @@ class TestRunCommand:
         assert_one_error_line(capsys, "numerical")
         failure = failed_manifest(out, "CFLError")["failure"]
         assert (failure["step_index"], failure["t"]) == (2, 5e-3 + 5e-3)
+
+    def test_failed_run_writes_the_budget_of_its_own_rows(
+            self, tmp_path, capsys, monkeypatch):
+        # sampled every step, the run fails after its third sample
+        fail_third_cfl_check(monkeypatch)
+        cfg = write_config(tmp_path, CONFIG.replace("output_every = 2",
+                                                    "output_every = 1"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert_one_error_line(capsys, "numerical")
+        path = run_dir_of(out) / "diagnostics.csv"
+        header, *rows = path.read_text().splitlines()
+        col = header.split(",").index("budget_residual")
+        written = [float(row.split(",")[col]) for row in rows]
+        assert len(written) == 3
+        assert written == energy_budget(_read_diagnostics(path)).tolist()
 
     def test_failed_output_write_finalizes_manifest(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -472,6 +494,13 @@ class TestEnergyAudit:
         assert main(["energy-audit", str(run_dir_of(out)),
                      "--tol", "1e-30"]) == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_bad_tolerance_is_config_error(self, tmp_path, capsys, tol):
+        # refused before the table is read: the run directory is absent
+        assert main(["energy-audit", str(tmp_path / "absent"),
+                     f"--tol={tol}"]) == 2
+        assert "--tol" in assert_one_error_line(capsys, "config")
+
     def test_nan_residual_fails(self, tmp_path):
         (tmp_path / "diagnostics.csv").write_text(
             "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
@@ -628,6 +657,27 @@ class TestSweepCommands:
                      *command[1:], "--out", str(tmp_path / "out")]) == 0
         assert (len(reads), len(fields)) == ((1, 0) if ic == "snapshot"
                                              else (0, 1))
+
+    @pytest.mark.parametrize("s, code", [("3", 3), ("1e6", 2), ("-1e6", 2)],
+                             ids=["zero-error", "weight-overflows",
+                                  "weight-underflows"])
+    def test_sweep_without_a_fittable_error_is_refused(self, tmp_path,
+                                                       capsys, s, code):
+        # each eps run equals the reference bit for bit, so every error is
+        # 0; an s this large or small makes the H^(s-1) weight inf or 0
+        text = ("nu = 0.1\neps = 0\nsymbol = power\nalpha = 1.5\nmu = 1\n"
+                "n = 64\ndim = 2\ndt = 2e-3\nt_end = 0.02\nic = random\n"
+                "k_c = 1.5\namplitude = 0.5\nseed = 1\noutput_every = 2\n")
+        out = tmp_path / "out"
+        assert main(["sweep-eps", str(write_config(tmp_path, text)), "--eps",
+                     "1e-300,1e-299,1e-298,1e-297", f"--s={s}", "--T", "0.02",
+                     "--out", str(out)]) == code
+        if code == 2:
+            assert "--s" in assert_one_error_line(capsys, "config")
+            assert not out.exists()
+        else:
+            assert "eps=1e-300" in assert_one_error_line(capsys, "numerical")
+            assert failed_manifest(out, "NumericalError")["files"] == []
 
     def test_under_resolved_reference_exit_code(self, tmp_path, capsys):
         text = CONFIG + "k_c = 12\n"

@@ -175,7 +175,7 @@ class TestDefectSplit:
             states.append(st.u.copy())
 
         _, records = run(cfg, sinks=(sink,))
-        sym = cfg.build_symbol(states[0].lattice)
+        sym = cfg.build_symbol()
         for eta in (0.25, 0.5):
             split = defect_split(times, states, sym, cfg.nu, cfg.eps, eta)
             hyper = np.array([r.hyper_dissipation_rate for r in records])

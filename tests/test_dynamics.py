@@ -26,8 +26,7 @@ def base_config(**kw):
 
 
 def make_stepper(cfg, sym=None):
-    lat = cfg.build_lattice()
-    return Stepper(sym or cfg.build_symbol(lat), cfg.nu, cfg.eps, cfg.dt)
+    return Stepper(sym or cfg.build_symbol(), cfg.nu, cfg.eps, cfg.dt)
 
 
 class TestNonlinearTerm:
@@ -124,7 +123,7 @@ class TestStep:
     def test_linear_step_is_exact(self):
         cfg = base_config(nu=0.5, eps=0.1, dt=0.05)
         lat = cfg.build_lattice()
-        sym = cfg.build_symbol(lat)
+        sym = cfg.build_symbol()
         u0 = shear_field(lat, 2)
         stepper = Stepper(sym, cfg.nu, cfg.eps, cfg.dt)
         st = stepper.step(TrajectoryState.start(u0.copy()))
@@ -138,7 +137,7 @@ class TestStep:
         # the half-layout step against IF-RK4 written on full-layout fields
         cfg = base_config(n=n, dim=dim, amplitude=1.0, dt=2e-3)
         lat = cfg.build_lattice()
-        sym = cfg.build_symbol(lat)
+        sym = cfg.build_symbol()
         u0 = initial_condition(cfg, lat)
         e1, e2 = (linear_propagator(sym, cfg.nu, cfg.eps, h)
                   for h in (cfg.dt / 2, cfg.dt))

@@ -212,7 +212,8 @@ class TestStreamingSweep:
 
     @pytest.mark.parametrize("s, T, error", [
         (float("nan"), 0.1, ValueError), (3.0, -1.0, ConfigError),
-        (3.0, float("inf"), ConfigError)])
+        (3.0, float("inf"), ConfigError), (1e6, 0.1, ValueError),
+        (-1e6, 0.1, ValueError)])
     def test_bad_s_or_T_stops_before_the_reference(self, monkeypatch, s, T,
                                                    error):
         calls = calls_of_run(monkeypatch)
@@ -220,6 +221,15 @@ class TestStreamingSweep:
         with pytest.raises(error):
             vanishing_eps_sweep(base_config(**self.CFG), self.EPS, s=s, T=T)
         assert calls == [] and fields == []
+
+    def test_zero_error_stops_the_sweep_naming_its_eps(self, monkeypatch):
+        # eps this small leaves each eps run equal to the reference
+        calls = calls_of_run(monkeypatch)
+        with pytest.raises(NumericalError, match="eps=1e-300 "):
+            vanishing_eps_sweep(base_config(**self.CFG),
+                                [1e-297, 1e-298, 1e-299, 1e-300], s=3.0,
+                                T=0.05)
+        assert [c.eps for _, c in calls] == [0.0, 1e-300]
 
     def test_eps_values_checked_and_sorted(self):
         assert sweep_eps_values(self.EPS) == sorted(self.EPS)

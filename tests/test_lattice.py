@@ -337,23 +337,33 @@ class TestBandLayout:
         h = lat.scatter_band(lat.forward(
             rng.standard_normal((dim,) * lead + lat.grid_shape), dealiased=True))
         assert lat.scatter_band(lat.gather_band(h)).tobytes() == h.tobytes()
+        # a full-layout array holds its band at the same indices; whatever
+        # its other half holds is not read
+        full = rng.standard_normal(h.shape[:-1] + (n,)).astype(complex)
+        full[..., :lat.half_modes] = h
+        assert lat.scatter_band(lat.gather_band(full)).tobytes() == h.tobytes()
 
     @pytest.mark.parametrize("n", [10, 12, 16])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_off_band_sees_every_mode_off_the_band(self, dim, n):
+        # band_of refuses content at any mode off the band, in the half
+        # layout and in the full layout, whose first half it reads
         lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(n - dim)
         h = lat.scatter_band(lat.forward(
             rng.standard_normal((dim,) + lat.grid_shape), dealiased=True))
         outside = ~lat.half(lat.dealias_mask)
         h[:, outside] = -0.0  # a zero of either sign is no content
-        assert not lat.off_band(h)
-        for idx in zip(*np.nonzero(outside)):
-            for value in (1e-300, np.nan):
-                h[(dim - 1,) + idx] = value
-                assert lat.off_band(h)
-            h[(dim - 1,) + idx] = 0.0
-        assert not lat.off_band(h)
+        for a in (h, lat.full_layout(h)):
+            half = lat.half(a)  # a view: writes to it reach a
+            assert lat.band_of(a).tobytes() == lat.gather_band(a).tobytes()
+            for idx in zip(*np.nonzero(outside)):
+                for value in (1e-300, np.nan):
+                    half[(dim - 1,) + idx] = value
+                    with pytest.raises(ValueError, match="off the two-thirds"):
+                        lat.band_of(a)
+                half[(dim - 1,) + idx] = 0.0
+            assert lat.band_of(a).tobytes() == lat.gather_band(a).tobytes()
 
     @pytest.mark.parametrize("n", [10, 12, 16])
     @pytest.mark.parametrize("dim", [2, 3])
