@@ -373,6 +373,34 @@ class TestResumedRun:
         assert abs(defect["low"] + defect["high"] - total) <= 1e-10 * total
         assert defect["low"] <= defect["bound_rhs"]
 
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_resumed_run_continues_bit_for_bit(self, tmp_path, dim, n):
+        # 0 -> 0.2 in one run, against 0 -> 0.1 resumed from its own
+        # final.hypf for another 0.1
+        def run_to(name, t_end, ic="random"):
+            cfg = write_config(tmp_path, "nu = 1e-2\neps = 1e-3\n"
+                               "symbol = power\nalpha = 1.25\n"
+                               f"n = {n}\ndim = {dim}\ndt = 5e-3\n"
+                               f"t_end = {t_end}\nic = {ic}\nseed = 9\n"
+                               "output_every = 2\n", name=f"{name}.cfg")
+            out = tmp_path / name
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            rd = run_dir_of(out)
+            rows = (rd / "diagnostics.csv").read_text().splitlines()
+            header = rows[0].split(",")
+            assert header[-1] == "budget_residual"
+            final, _ = snapshot.read_snapshot(rd / "final.hypf")
+            return (rd, [r.rsplit(",", 1)[0] for r in rows[1:]], final)
+
+        _, whole, u_whole = run_to("whole", 0.2)
+        first, _, _ = run_to("first", 0.1)
+        _, second, u_second = run_to("second", 0.1,
+                                     f"snapshot:{first / 'final.hypf'}")
+        assert u_second.coeffs.tobytes() == u_whole.coeffs.tobytes()
+        assert u_second.t == u_whole.t
+        # 40 steps sampled every 2: the second half is the long run's
+        # rows from step 20 on
+        assert len(whole) == 21 and second == whole[10:]
 
     def resume_config(self, tmp_path, snap, n=16, dim=3):
         return write_config(tmp_path, "nu = 1e-2\neps = 1e-3\nsymbol = power\n"
