@@ -26,10 +26,12 @@ def make_record(state, nu: float, eps: float,
                 sym: MultiplierSymbol) -> DiagnosticsRecord:
     """Energy accounting of one sampled state.
 
-    ``state`` is a :class:`hyperns.dynamics.TrajectoryState`; every sum
-    here, the shell spectrum included, is taken over its ``mag2``.
+    ``state`` is a :class:`hyperns.dynamics.TrajectoryState`; only its
+    ``t``, ``mag2`` and ``lattice`` are read, so a state without a
+    full-layout field ``u`` is recorded as one with it.  Every sum here,
+    the shell spectrum included, is taken over its ``mag2``.
     """
-    lat = state.u.lattice
+    lat = state.lattice
     vol = lat.volume
     mag2 = state.mag2
     energy = 0.5 * vol * float(np.sum(mag2))
@@ -69,9 +71,12 @@ def energy_budget(records: list) -> np.ndarray:
 
     residual(t0, t_i) = |E(t_i) - E(t0) + int (nu ||grad u||^2
     + eps <Mu,u>) dt| / E(0), trapezoid rule on the recorded samples.
+    ValueError unless the time stamps are finite and strictly increasing.
     """
     t = np.array([r.t for r in records])
-    if np.any(np.diff(t) <= 0):
+    if not np.all(np.isfinite(t)):
+        raise ValueError("non-finite time stamp in diagnostics series")
+    if not np.all(np.diff(t) > 0):
         raise ValueError("non-monotone time stamps in diagnostics series")
     e = np.array([r.energy for r in records])
     rate = np.array([r.visc_dissipation_rate + r.hyper_dissipation_rate

@@ -5,9 +5,10 @@ exp(-(nu k^2 + eps m(k)) t) is applied exactly, classical RK4 handles the
 dealiased pseudospectral nonlinear term.  A step runs on raw coefficient
 arrays in the two-thirds band layout (see :mod:`hyperns.lattice` and
 :class:`Stepper`).  A trajectory is its projected band array from its
-start to its end; a step also builds the full-layout field only when
-:func:`run` samples its result, and a start with content off the band is
-refused.
+start to its end.  A sample reads the state's ``t``, ``band``, ``mag2``
+and ``lattice``; the full-layout field ``u`` exists at the start and at
+the final state only, which :func:`run` asks the last step to build.  A
+start with content off the band is refused.
 """
 from __future__ import annotations
 
@@ -53,8 +54,10 @@ class TrajectoryState:
     """A state of a trajectory at time ``t``, after ``step_index`` steps.
 
     ``band`` holds the field's band-layout coefficients, all that a step
-    reads; the field is zero off the band.  At the start and at samples
-    ``u`` is also the full-layout field; between samples it is None.  A
+    reads; the field is zero off the band.  A sink reads ``t``, ``band``,
+    ``mag2`` and ``lattice``.  ``u``, the full-layout field, exists at the
+    start and at the final state of a run only; everywhere else it is
+    None.  A state built from a field takes the field's lattice.  A
     trajectory's state gets its band from a field in :meth:`start` only;
     a state made just to be recorded (:func:`make_record`) needs none.
     """
@@ -64,6 +67,11 @@ class TrajectoryState:
     step_index: int
     cfl_estimate: float = 0.0
     band: np.ndarray | None = None
+    lattice: WavenumberLattice | None = None
+
+    def __post_init__(self):
+        if self.lattice is None:
+            self.lattice = self.u.lattice
 
     @classmethod
     def start(cls, u: SpectralVelocity) -> "TrajectoryState":
@@ -74,12 +82,16 @@ class TrajectoryState:
 
     @cached_property
     def mag2(self) -> np.ndarray:
-        """The field's per-mode |u_hat|^2, computed on first use and kept.
+        """The field's per-mode |u_hat|^2 in the full layout, computed on
+        first use and kept: ``u.mag2()`` where there is a ``u``, else
+        ``lattice.mag2_of_band(band)``, the same floats.
 
         :func:`run` samples a shallow copy of the state, so the array is
         shared by the record and the sinks of one sample and dies with it.
         """
-        return self.u.mag2()
+        if self.u is not None:
+            return self.u.mag2()
+        return self.lattice.mag2_of_band(self.band)
 
 
 def _band_nonlinear(lat: WavenumberLattice, b: np.ndarray):
@@ -147,12 +159,13 @@ class Stepper:
     band forward transform of the products gives the band.  The new band is
     the band times the full-step propagator plus the stages' RK increment.
 
-    Every step returns the new band projected.  An unsampled step projects
-    it by :meth:`~hyperns.lattice.WavenumberLattice.project_band` and
-    builds no full-layout field.  A sampled step also returns the
-    full-layout field, projected by :func:`~hyperns.lattice.leray_project`,
-    and gathers its band from that field; the two projections agree bit
-    for bit on the band.
+    Every step returns the new band projected.  A step that is not a
+    run's final one, sampled or not, projects it by
+    :meth:`~hyperns.lattice.WavenumberLattice.project_band` and builds no
+    full-layout field.  The final step also returns the full-layout field,
+    projected by :func:`~hyperns.lattice.leray_project`, and gathers its
+    band from that field; the two projections agree bit for bit on the
+    band.
     """
 
     def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,
@@ -178,9 +191,10 @@ class Stepper:
         return self.dt * vmax * self.lattice.k_dealias
 
     def step(self, state: TrajectoryState,
-             sampled: bool = True) -> TrajectoryState:
+             final: bool = True) -> TrajectoryState:
         """The state one step on from ``state.band``: a projected band
-        array, and the full-layout field too if ``sampled``."""
+        array, and the full-layout field ``u`` too if ``final``.  Either way
+        a sink can read its ``t``, ``band``, ``mag2`` and ``lattice``."""
         dt = self.dt
         lat = self.lattice
         b0 = state.band
@@ -203,12 +217,12 @@ class Stepper:
         t1 = state.t + dt
         # the projections guard against roundoff drift of the analytic
         # invariants
-        if sampled:
+        if final:
             u = leray_project(SpectralVelocity.from_band(lat, c1, t1))
             band = lat.gather_band(u.coeffs)
         else:
             u, band = None, lat.project_band(c1)
-        return TrajectoryState(u, t1, state.step_index + 1, cfl, band)
+        return TrajectoryState(u, t1, state.step_index + 1, cfl, band, lat)
 
 
 def taylor_green(lattice: WavenumberLattice, t: float = 0.0) -> SpectralVelocity:
@@ -280,8 +294,10 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
     sink(state, record) at every sample (every ``output_every`` steps, plus
     the initial and final states).  The record and the sinks of one sample
     share that state's ``mag2``, computed once.  The trajectory is a band
-    array (:meth:`Stepper.step`); only sampled steps build the full-layout
-    field.  A start with content off the band is refused with a ValueError
+    array (:meth:`Stepper.step`): a sink reads a state's ``t``, ``band``,
+    ``mag2`` and ``lattice``, and ``u`` exists at the start and at the
+    final state only, which the last step builds.  A start with content
+    off the band is refused with a ValueError
     (:meth:`TrajectoryState.start`) before any step or sink call.  On a
     numerical failure the partial series is attached to the raised
     :class:`NumericalError`, whose state may be a band state with no
@@ -315,13 +331,13 @@ def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,
 
     sample(state)
     for i in range(n_steps):
-        sampled = (i + 1) % cfg.output_every == 0 or i + 1 == n_steps
+        final = i + 1 == n_steps
         try:
-            state = stepper.step(state, sampled)
+            state = stepper.step(state, final)
         except NumericalError as err:
             err.records = records
             raise
-        if sampled:
+        if final or (i + 1) % cfg.output_every == 0:
             sample(state)
     return state, records
 
@@ -349,7 +365,7 @@ def smallness_probe(cfg: SimConfig, s: float) -> SmallnessReport:
     norms = []
 
     def sink(state, rec):
-        norms.append(_sobolev_norm(state.u.lattice, state.mag2, idx))
+        norms.append(_sobolev_norm(state.lattice, state.mag2, idx))
 
     run(cfg, sinks=(sink,))
     h0 = norms[0]

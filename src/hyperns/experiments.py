@@ -160,8 +160,12 @@ def sweep_eps_inputs(base_cfg: SimConfig, eps_list, s: float, T: float):
 
 
 def _check_resolved(state, record) -> None:
-    """Run sink: NumericalError at the first under-resolved sample."""
-    tail = spectral_tail_fraction(record.shell_spectrum, state.u.lattice)
+    """Run sink: NumericalError at the first under-resolved sample.
+
+    Reads the record's shell spectrum and the state's ``t`` and
+    ``lattice``, never its ``u``, which an intermediate sample lacks.
+    """
+    tail = spectral_tail_fraction(record.shell_spectrum, state.lattice)
     if tail > TAIL_FRACTION_LIMIT:
         raise NumericalError(
             f"reference run loses resolution at t={state.t:.4f}: "

@@ -28,9 +28,10 @@ half layout, which ``scatter_band`` writes it into; ``gather_band`` copies
 it out of the half or the full layout.  Only this module relates layouts
 (:func:`negate_kappa`, ``half``, ``full_layout``, ``gather_band``,
 ``scatter_band``, ``band_of``, ``SpectralVelocity.from_band``,
-``pinned_modes``) or calls ``numpy.fft``; it holds the band's arrays
-(``band_k``, ``band_k_sq_pinned``, ``band_leray``), and ``project_band``
-makes a band array what a projected field's band holds, bit for bit.
+``mag2_of_band``, ``pinned_modes``) or calls ``numpy.fft``; it holds the
+band's arrays (``band_k``, ``band_k_sq_pinned``, ``band_leray``),
+``project_band`` makes a band array what a projected field's band holds,
+bit for bit, and ``mag2_of_band`` gives that field's per-mode |u_hat|^2.
 """
 from __future__ import annotations
 
@@ -190,12 +191,18 @@ class WavenumberLattice:
         out = np.empty(h.shape[:-1] + (self.n_per_dim,), dtype=np.complex128)
         out[..., :m] = h
         _symmetrize_zero_plane(out, self.dim)
+        self._mirror_half(h, out)
+        return out
+
+    def _mirror_half(self, h: np.ndarray, out: np.ndarray) -> None:
+        """Fill the omitted half of full-layout ``out`` from half-layout
+        ``h`` by conjugation (a copy for real arrays)."""
+        m = self.half_modes
         # full modes n/2+1..n-1 of the last axis are the negatives of
         # 1..n/2-1; that axis moves in front of the ones negated
         pos = np.moveaxis(h[..., m - 2:0:-1], -1, 0)
         np.conjugate(negate_kappa(pos, self.dim - 1),
                      out=np.moveaxis(out[..., m:], -1, 0))
-        return out
 
     # -- two-thirds band layout ---------------------------------------------
 
@@ -271,6 +278,19 @@ class WavenumberLattice:
         k = self.band_k
         b -= k * (np.sum(k * b, axis=0) / self.band_k_sq_pinned)
         return b
+
+    def mag2_of_band(self, b: np.ndarray) -> np.ndarray:
+        """Per-mode |u_hat|^2 summed over components, shape (n, ..., n), of
+        the field of a projected band ``b`` (as ``project_band`` returns
+        it), without building the field: ``SpectralVelocity.from_band(self,
+        b).mag2()`` bit for bit.  |conj z| = |z|, and the kappa_last = 0
+        plane of such a band is Hermitian already, so ``full_layout``'s
+        symmetrization would leave its moduli as they are."""
+        h = self.scatter_band(np.sum(np.abs(b) ** 2, axis=0))
+        out = np.empty(self.grid_shape)
+        out[..., :self.half_modes] = h
+        self._mirror_half(h, out)
+        return out
 
     @cached_property
     def x(self) -> np.ndarray:

@@ -547,8 +547,12 @@ class TestEnergyAudit:
         "",
         "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
         "budget_residual\n0,1,1,1,1,0\n0.1,1,1,1,1,0\n0.1,1,1,1,1,0\n",
+        "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+        "budget_residual\n0,1,1,1,1,0\nnan,1,1,1,1,0\n",
+        "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+        "budget_residual\nnan,1,1,1,1,0\n",
     ], ids=["non-numeric", "ragged", "missing-column", "no-rows", "empty",
-            "repeated-t"])
+            "repeated-t", "nan-t", "one-row-nan-t"])
     def test_malformed_table_is_io_error(self, tmp_path, capsys, table):
         (tmp_path / "diagnostics.csv").write_text(table)
         assert main(["energy-audit", str(tmp_path)]) == 4

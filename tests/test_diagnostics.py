@@ -172,7 +172,8 @@ class TestDefectSplit:
 
         def sink(st, rec):
             times.append(st.t)
-            states.append(st.u.copy())
+            states.append(SpectralVelocity.from_band(st.lattice, st.band,
+                                                     st.t))
 
         _, records = run(cfg, sinks=(sink,))
         sym = cfg.build_symbol()
@@ -194,7 +195,8 @@ class TestDefectSplit:
 
         def record(st, rec):
             times.append(st.t)
-            fields.append(st.u)
+            fields.append(SpectralVelocity.from_band(st.lattice, st.band,
+                                                     st.t))
 
         run(cfg, sinks=(sink, record), symbol=sym)
         assert not hasattr(sink, "states")
@@ -247,20 +249,28 @@ class TestOnePassPerSample:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Times of the fields SpectralVelocity.mag2 ran on, in call order;
-        every step asserts that its input state carries no cached mag2."""
-        times = []
-        mag2, step = SpectralVelocity.mag2, Stepper.step
+        """Times of the fields SpectralVelocity.mag2 and of the stepped
+        bands WavenumberLattice.mag2_of_band ran on, in call order; every
+        step asserts that its input state carries no cached mag2."""
+        times, stepped = [], []
+        mag2, of_band = SpectralVelocity.mag2, WavenumberLattice.mag2_of_band
+        step = Stepper.step
 
         def counted(u):
             times.append(u.t)
             return mag2(u)
 
+        def counted_band(lat, b):
+            times.append(next(st.t for st in stepped if st.band is b))
+            return of_band(lat, b)
+
         def checked(self, state, *args):
             assert "mag2" not in vars(state)
-            return step(self, state, *args)
+            stepped.append(step(self, state, *args))
+            return stepped[-1]
 
         monkeypatch.setattr(SpectralVelocity, "mag2", counted)
+        monkeypatch.setattr(WavenumberLattice, "mag2_of_band", counted_band)
         monkeypatch.setattr(Stepper, "step", checked)
         return times
 

@@ -367,7 +367,7 @@ class TestRun:
 
 def sampled_loop(cfg, u0):
     """(sampled states, final state) of ``run(cfg, u0=u0)``, integrated by
-    a loop that takes the sampled result of every step."""
+    a loop that takes the field-building result of every step."""
     stepper = make_stepper(cfg)
     n_steps = int(round(cfg.t_end / cfg.dt))
     st = TrajectoryState.start(u0)
@@ -380,11 +380,17 @@ def sampled_loop(cfg, u0):
 
 
 def assert_same_states(got, expect):
+    """Equal bands and |u_hat|^2 bit for bit; the full fields too where
+    ``got`` has one."""
     assert len(got) == len(expect)
     for a, b in zip(got, expect):
         assert (a.step_index, a.t, a.cfl_estimate) == (
             b.step_index, b.t, b.cfl_estimate)
-        assert a.u.coeffs.tobytes() == b.u.coeffs.tobytes()
+        assert a.lattice == b.lattice
+        assert a.band.tobytes() == b.band.tobytes()
+        assert a.mag2.tobytes() == b.mag2.tobytes()
+        if a.u is not None:
+            assert a.u.coeffs.tobytes() == b.u.coeffs.tobytes()
 
 
 class TestBandTrajectory:
@@ -402,7 +408,11 @@ class TestBandTrajectory:
         final, _ = run(cfg, sinks=(lambda st, rec: sampled.append(st),),
                        u0=u0)
         states, last = sampled_loop(cfg, u0)
+        # a field at the start and the final state only
+        assert [st.u is not None for st in sampled] == (
+            [True] + [False] * (len(sampled) - 2) + [True])
         assert_same_states(sampled, states)
+        assert final.u is not None
         assert_same_states([final], [last])
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 12)])
@@ -428,12 +438,17 @@ class TestBandTrajectory:
     def test_only_sampled_steps_build_the_field(self, monkeypatch, dim, n):
         cfg = base_config(dim=dim, n=n, t_end=4e-2, output_every=3)
         u0 = initial_condition(cfg, cfg.build_lattice())
+        # every full-layout field is made by from_half or the constructor
         built = calls_of(monkeypatch, SpectralVelocity, "from_half")
+        made = calls_of(monkeypatch, SpectralVelocity, "__post_init__")
         sampled = []
         run(cfg, sinks=(lambda st, rec: sampled.append(st),), u0=u0)
-        # 8 steps: the start, steps 3 and 6 and the final step are sampled
+        # 8 steps: the start, steps 3 and 6 and the final step are sampled;
+        # the final step alone builds a field, which leray_project copies
         assert [st.step_index for st in sampled] == [0, 3, 6, 8]
-        assert [args[2] for args in built] == [st.t for st in sampled[1:]]
+        assert [args[2] for args in built] == [sampled[-1].t]
+        assert [args[0].t for args in made] == [sampled[-1].t]
+        assert [st.u is None for st in sampled] == [False, True, True, False]
 
     @pytest.mark.parametrize("dim,n", [(2, 10), (2, 64), (3, 12), (3, 32)])
     def test_unsampled_step_is_the_band_of_the_sampled_one(self, dim, n):
@@ -461,6 +476,24 @@ class TestBandTrajectory:
         div = np.sum(np.abs(np.sum(k * b, axis=0)) ** 2)
         grad = np.sum(np.sum(k ** 2, axis=0) * np.sum(np.abs(b) ** 2, axis=0))
         assert np.sqrt(div / grad) <= 1e-15
+
+    @pytest.mark.parametrize("ic", ["random", "taylor-green"])
+    @pytest.mark.parametrize("dim,n", [(2, 10), (2, 64), (2, 128), (3, 12),
+                                       (3, 32)])
+    def test_mag2_of_band_is_the_mag2_of_its_field(self, dim, n, ic):
+        ic = f"taylor-green-{dim}d" if ic == "taylor-green" else ic
+        cfg = base_config(dim=dim, n=n, ic=ic, amplitude=1.0, dt=2e-3)
+        lat = cfg.build_lattice()
+        stepper = make_stepper(cfg)
+        st = TrajectoryState.start(initial_condition(cfg, lat))
+        for _ in range(6):
+            st = stepper.step(st, False)
+            assert st.u is None
+            got = lat.mag2_of_band(st.band)
+            assert got.shape == lat.grid_shape
+            assert got.tobytes() == SpectralVelocity.from_band(
+                lat, st.band).mag2().tobytes()
+            assert st.mag2.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("fault", ["cfl", "nan"])
     def test_failure_between_samples_carries_the_last_state(

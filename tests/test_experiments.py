@@ -167,8 +167,12 @@ class TestStreamingSweep:
 
         def recorded(eps):
             fields = []
-            run(replace(cfg, eps=eps),
-                sinks=(lambda st, rec: fields.append(st.u),))
+
+            def keep(st, rec):
+                fields.append(SpectralVelocity.from_band(st.lattice, st.band,
+                                                         st.t))
+
+            run(replace(cfg, eps=eps), sinks=(keep,))
             return fields
 
         ref = recorded(0.0)
