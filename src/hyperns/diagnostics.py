@@ -27,9 +27,10 @@ def make_record(state, nu: float, eps: float,
     """Energy accounting of one sampled state.
 
     ``state`` is a :class:`hyperns.dynamics.TrajectoryState`; only its
-    ``t``, ``mag2`` and ``lattice`` are read, so a state without a
-    full-layout field ``u`` is recorded as one with it.  Every sum here,
-    the shell spectrum included, is taken over its ``mag2``.
+    ``t``, ``mag2`` and ``lattice`` are read, never its full-layout field
+    ``u``, which a run's states have at the start and the final state
+    only.  Every sum here, the shell spectrum included, is taken over its
+    ``mag2``.
     """
     lat = state.lattice
     vol = lat.volume

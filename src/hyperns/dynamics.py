@@ -165,7 +165,8 @@ class Stepper:
     full-layout field.  The final step also returns the full-layout field,
     projected by :func:`~hyperns.lattice.leray_project`, and gathers its
     band from that field; the two projections agree bit for bit on the
-    band.
+    band.  So a sink reads a state's ``t``, ``band``, ``mag2`` and
+    ``lattice``, and ``u`` exists at the start and the final state only.
     """
 
     def __init__(self, sym: MultiplierSymbol, nu: float, eps: float,

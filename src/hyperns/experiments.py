@@ -163,7 +163,8 @@ def _check_resolved(state, record) -> None:
     """Run sink: NumericalError at the first under-resolved sample.
 
     Reads the record's shell spectrum and the state's ``t`` and
-    ``lattice``, never its ``u``, which an intermediate sample lacks.
+    ``lattice``, never its ``u``, which a run's states have at the start
+    and the final state only.
     """
     tail = spectral_tail_fraction(record.shell_spectrum, state.lattice)
     if tail > TAIL_FRACTION_LIMIT:
