@@ -71,23 +71,25 @@ def energy_budget(records: list) -> np.ndarray:
     """Cumulative budget residual per sample, relative to E(0).
 
     residual(t0, t_i) = |E(t_i) - E(t0) + int (nu ||grad u||^2
-    + eps <Mu,u>) dt| / E(0), trapezoid rule on the recorded samples.
-    ValueError unless the time stamps are finite and strictly increasing.
+    + eps <Mu,u>) dt| / E(0), trapezoid rule on the recorded samples,
+    undivided if E(0) = 0.  ValueError unless the time stamps are finite
+    and strictly increasing and no energy or dissipation rate is negative.
     """
     t = np.array([r.t for r in records])
     if not np.all(np.isfinite(t)):
         raise ValueError("non-finite time stamp in diagnostics series")
     if not np.all(np.diff(t) > 0):
         raise ValueError("non-monotone time stamps in diagnostics series")
-    e = np.array([r.energy for r in records])
-    rate = np.array([r.visc_dissipation_rate + r.hyper_dissipation_rate
-                     for r in records])
-    e0 = e[0]
-    if e0 == 0:
-        return np.zeros_like(e)
+    cols = np.array([(r.energy, r.visc_dissipation_rate,
+                      r.hyper_dissipation_rate) for r in records])
+    if np.any(cols < 0):
+        raise ValueError("negative energy or dissipation rate in "
+                         "diagnostics series")
+    e, rate = cols[:, 0], cols[:, 1] + cols[:, 2]
     integral = np.zeros_like(rate)
     integral[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))
-    return np.abs(e - e0 + integral) / e0
+    residual = np.abs(e - e[0] + integral)
+    return residual / e[0] if e[0] > 0 else residual
 
 
 def crossover_frequency(nu: float, eps: float, alpha: float) -> float:

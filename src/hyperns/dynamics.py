@@ -98,19 +98,19 @@ def _band_nonlinear(lat: WavenumberLattice, b: np.ndarray):
     """Dealiased, projected div(u tensor u) / i of band-layout coefficients.
 
     Returns (d, phys): B(u) = i d in the band layout, and the physical
-    velocity field of u.  One band inverse transform of the field, scattered
-    into the half layout, and one band forward transform, straight to the
-    band, of each product u_i u_j, which enters rows i and j.
+    velocity field of u.  One inverse transform of the field, scattered
+    into the half layout, and one forward transform, straight to the band,
+    of each product u_i u_j, which enters rows i and j.
     """
     d = np.zeros_like(b)
     # the array stays positional: the benchmark's tracer counts the points
     # of args[1]
-    phys = lat.inverse(lat.scatter_band(b), dealiased=True)
+    phys = lat.inverse(lat.scatter_band(b))
     pairs = _PAIRS[lat.dim]
     prod = np.empty((len(pairs),) + lat.grid_shape)
     for p, (i, j) in enumerate(pairs):
         np.multiply(phys[i], phys[j], out=prod[p])
-    t = lat.forward(prod, dealiased=True)
+    t = lat.forward(prod)
     k = lat.band_k
     for p, (i, j) in enumerate(pairs):
         d[i] += k[j] * t[p]
@@ -155,8 +155,8 @@ class Stepper:
     A step reads only the band of its state (the band layout of
     :mod:`hyperns.lattice`) and runs the four nonlinear stages, their RK
     combinations and the Leray projection on band arrays.  A stage scatters
-    its input into the half layout only for the band inverse transform; the
-    band forward transform of the products gives the band.  The new band is
+    its input into the half layout only for the inverse transform; the
+    forward transform of the products gives the band.  The new band is
     the band times the full-step propagator plus the stages' RK increment.
 
     Every step returns the new band projected.  A step that is not a
@@ -244,8 +244,8 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
                  k_c: float, amplitude: float) -> SpectralVelocity:
     """Divergence-free Gaussian field with |u_hat| ~ |k|^sigma exp(-|k|^2/k_c^2).
 
-    Bandlimited, zero-mean, seeded; the result is scaled to the requested
-    L^2 norm (``amplitude``).
+    On the two-thirds band, zero-mean, seeded; the result is scaled to the
+    requested L^2 norm (``amplitude``).
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((lattice.dim,) + lattice.grid_shape)
@@ -260,8 +260,7 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
     if not np.all(np.isfinite(profile)):
         raise NumericalError("degenerate random field: spectral profile "
                              f"overflows (sigma={sigma:g}, k_c={k_c:g})")
-    u = SpectralVelocity(lattice, coeffs * profile)
-    u = dealias(leray_project(u))
+    u = leray_project(SpectralVelocity(lattice, coeffs * profile))
     norm = u.l2_norm()
     if not (norm > 0 and math.isfinite(amplitude / norm)):
         raise NumericalError(f"degenerate random field: L2 norm {norm:.3e} "
@@ -273,15 +272,15 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
 def initial_condition(cfg: SimConfig,
                       lattice: WavenumberLattice) -> SpectralVelocity:
     kind, _, arg = cfg.ic.partition(":")
-    if kind == "random":  # projected and dealiased already
+    if kind == "random":  # projected, and on the band already
         return random_field(lattice, cfg.seed, cfg.sigma, cfg.k_c,
                             cfg.amplitude)
     if kind == "snapshot":
         from .snapshot import read_snapshot
         u, _ = read_snapshot(arg, lattice)
-        return dealias(u)
+        return dealias(u)  # a snapshot may hold modes off the band
     # SimConfig has refused an unknown ic and a preset of another dimension
-    return dealias(leray_project(taylor_green(lattice)))
+    return leray_project(taylor_green(lattice))
 
 
 def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,

@@ -4,29 +4,31 @@ Conventions fixed here and used by every other module:
 
 * forward transform: ``u_hat(kappa) = (1/n^dim) * sum_x u(x) exp(-i k.x)``,
   so a unit-amplitude cosine carries coefficient 1/2 at +/-kappa; the one
-  transform pair is ``forward``/``inverse`` (``rfftn``/``irfftn``);
+  transform pair is ``forward``/``inverse``, numpy's ``rfftn``/``irfftn``
+  pruned to the band below;
 * Parseval: ``||u||_L2^2 = L^dim * sum_k |u_hat(k)|^2``, with the weight
   L^dim given by ``WavenumberLattice.volume``;
 * the mean mode u_hat(0) and the Nyquist rows (kappa_i = -n/2) are zeroed
   on construction of any velocity field;
-* dealiasing keeps |kappa_i| < n/3 (Orszag's two-thirds rule); with
-  ``dealiased=True`` the transforms skip the 1-D FFTs whose lines lie
-  outside that band, in numpy's own axis order, so they match the full
-  ``rfftn``/``irfftn`` bit for bit on the band.
+* dealiasing keeps |kappa_i| < n/3 (Orszag's two-thirds rule); the
+  transforms skip the 1-D FFTs whose lines lie outside that band, in
+  numpy's own axis order, so they match the full ``rfftn``/``irfftn`` bit
+  for bit on the band.
 
 Velocity fields, snapshots and every public function use the full layout:
 coefficients of shape (dim, n, ..., n) in ``numpy.fft.fftn`` order.  The
-transforms work in the ``rfftn`` half layout, which keeps only the modes
-0 <= kappa_last <= n/2 of the last axis (n/2 + 1 entries,
-``numpy.fft.rfftfreq`` order); the other half follows from Hermitian
-symmetry u_hat(-kappa) = conj(u_hat(kappa)).  The time stepper works in
-the band layout, the modes the two-thirds rule keeps, |kappa_i| <= lim =
-``dealias_limit``: shape (dim, 2 lim + 1, ..., lim + 1), rows kappa =
-0..lim then -lim..-1 on every axis but the last, kappa_last = 0..lim on
-the last.  The band ``forward`` returns it; the band ``inverse`` takes the
-half layout, which ``scatter_band`` writes it into; ``gather_band`` copies
-it out of the half or the full layout.  Only this module relates layouts
-(:func:`negate_kappa`, ``half``, ``full_layout``, ``gather_band``,
+``rfftn`` half layout keeps only the modes 0 <= kappa_last <= n/2 of the
+last axis (n/2 + 1 entries, ``numpy.fft.rfftfreq`` order); the other half
+follows from Hermitian symmetry u_hat(-kappa) = conj(u_hat(kappa)).  The
+time stepper works in the band layout, the modes the two-thirds rule
+keeps, |kappa_i| <= lim = ``dealias_limit``: shape (dim, 2 lim + 1, ...,
+lim + 1), rows kappa = 0..lim then -lim..-1 on every axis but the last,
+kappa_last = 0..lim on the last.  ``forward`` returns it; ``inverse``
+reads it in the half layout, which ``scatter_band`` writes it into;
+``gather_band`` copies it out of the half or the full layout.
+``SpectralVelocity.from_physical`` is ``from_band`` of ``forward``, and
+``to_physical`` refuses content off the band.  Only this module relates
+layouts (:func:`negate_kappa`, ``half``, ``full_layout``, ``gather_band``,
 ``scatter_band``, ``band_of``, ``SpectralVelocity.from_band``,
 ``mag2_of_band``, ``pinned_modes``) or calls ``numpy.fft``; it holds the
 band's arrays (``band_k``, ``band_k_sq_pinned``, ``band_leray``),
@@ -302,11 +304,10 @@ class WavenumberLattice:
 
     # -- transforms -------------------------------------------------------
 
-    def _grid_axes(self, a: np.ndarray, shape: tuple) -> tuple:
+    def _check_grid(self, a: np.ndarray, shape: tuple) -> None:
         if a.shape[-self.dim:] != shape:
             raise ValueError(
                 f"array shape {a.shape} does not match lattice grid {shape}")
-        return tuple(range(-self.dim, 0))
 
     @cached_property
     def _band_rows(self) -> tuple:
@@ -314,17 +315,11 @@ class WavenumberLattice:
         n, lim = self.n_per_dim, self.dealias_limit
         return slice(0, lim + 1), slice(n - lim, n)
 
-    def forward(self, phys: np.ndarray, *, dealiased: bool = False
-                ) -> np.ndarray:
-        """Real field -> half-layout coefficients (1/n^dim normalization).
-
-        ``dealiased=True`` transforms only what the two-thirds rule keeps
-        and returns the band layout: ``gather_band`` of the full transform,
-        bit for bit.
-        """
-        axes = self._grid_axes(phys, self.grid_shape)
-        if not dealiased:
-            return np.fft.rfftn(phys, axes=axes, norm="forward")
+    def forward(self, phys: np.ndarray) -> np.ndarray:
+        """Real field -> band-layout coefficients (1/n^dim normalization):
+        ``gather_band`` of ``numpy.fft.rfftn(phys, norm="forward")`` bit for
+        bit, transforming only the lines the two-thirds rule keeps."""
+        self._check_grid(phys, self.grid_shape)
         # rfftn's own axis order, last axis first, on the kept lines only
         lim = self.dealias_limit
         h = np.fft.rfft(phys, axis=-1, norm="forward")
@@ -336,18 +331,14 @@ class WavenumberLattice:
                 np.fft.fft(lines, axis=-3, norm="forward", out=lines)
         return self.gather_band(h)
 
-    def inverse(self, h: np.ndarray, *, dealiased: bool = False
-                ) -> np.ndarray:
+    def inverse(self, h: np.ndarray) -> np.ndarray:
         """Half-layout coefficients -> real field (leading axes ride along).
 
-        ``dealiased=True`` reads only the modes the two-thirds rule keeps:
-        the result is that of ``h`` times the dealias mask, and equal to the
-        full transform bit for bit when ``h`` is zero off the band.
+        Only the modes the two-thirds rule keeps are read: the result
+        equals ``numpy.fft.irfftn`` (``norm="forward"``) of ``h`` times the
+        half of ``dealias_mask``.
         """
-        axes = self._grid_axes(h, self.grid_shape[:-1] + (self.half_modes,))
-        if not dealiased:
-            return np.fft.irfftn(h, s=self.grid_shape, axes=axes,
-                                 norm="forward")
+        self._check_grid(h, self.grid_shape[:-1] + (self.half_modes,))
         # irfftn's own axis order, first axis first, on the kept lines only
         lim = self.dealias_limit
         work = np.zeros(h.shape, dtype=np.complex128)
@@ -407,39 +398,38 @@ class SpectralVelocity:
         return SpectralVelocity(self.lattice, self.coeffs, self.t)
 
     def to_physical(self) -> np.ndarray:
-        """The real field; raises on a Hermitian defect above HERMITIAN_TOL."""
+        """The real field; ValueError on a Hermitian defect above
+        HERMITIAN_TOL, and (from ``band_of``) on content off the band."""
         defect = self.hermitian_defect()
         if defect > HERMITIAN_TOL:
             raise ValueError(f"non-Hermitian spectral input: defect "
                              f"{defect:.3e} relative")
-        return self.lattice.inverse(self.lattice.half(self.coeffs))
+        lat = self.lattice
+        return lat.inverse(lat.scatter_band(lat.band_of(self.coeffs)))
 
     @classmethod
     def from_physical(cls, lattice: WavenumberLattice, phys: np.ndarray,
                       t: float = 0.0) -> "SpectralVelocity":
-        return cls.from_half(lattice, lattice.forward(phys), t)
-
-    @classmethod
-    def from_half(cls, lattice: WavenumberLattice, h: np.ndarray,
-                  t: float = 0.0) -> "SpectralVelocity":
-        """The field of half-layout coefficients ``h``: ``full_layout(h)``
-        with its modes pinned in place.  Unlike the constructor it does not
-        copy the array, which it has just built (12.6 MB at 3-D n=64)."""
-        expected = (lattice.dim,) + lattice.grid_shape[:-1] + (
-            lattice.half_modes,)
-        if h.shape != expected:
-            raise ValueError(f"half-layout shape {h.shape} does not match "
-                             f"lattice {expected}")
-        v = cls.__new__(cls)
-        v.lattice, v.coeffs, v.t = lattice, lattice.full_layout(h), t
-        v._pin()
-        return v
+        """The field of real ``phys``, dealiased: ``from_band`` of its
+        band-layout transform."""
+        return cls.from_band(lattice, lattice.forward(phys), t)
 
     @classmethod
     def from_band(cls, lattice: WavenumberLattice, b: np.ndarray,
                   t: float = 0.0) -> "SpectralVelocity":
-        """``from_half`` of band-layout ``b`` scattered into the half layout."""
-        return cls.from_half(lattice, lattice.scatter_band(b), t)
+        """The field of band-layout coefficients ``b``, zero off the band:
+        ``full_layout(scatter_band(b))`` with its modes pinned in place.
+        Unlike the constructor it does not copy the array, which it has
+        just built (12.6 MB at 3-D n=64)."""
+        expected = (lattice.dim,) + lattice.band_shape
+        if b.shape != expected:
+            raise ValueError(f"band-layout shape {b.shape} does not match "
+                             f"lattice {expected}")
+        v = cls.__new__(cls)
+        v.lattice, v.coeffs, v.t = (
+            lattice, lattice.full_layout(lattice.scatter_band(b)), t)
+        v._pin()
+        return v
 
     def l2_norm(self) -> float:
         lat = self.lattice

@@ -124,7 +124,8 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
 
     One row per lattice mode (matched by integer kappa, every mode exactly
     once) or one row per shell radius (modes pick the nearest shell).
-    Wavenumbers, and the radius of a per-shell row, must be finite.
+    Wavenumbers, and the radius of a per-shell row, must be finite; on a
+    2-D lattice every k3 must be zero.
     Returns the raw complex values per mode with no sign validation.
     """
     with open(path, newline="") as fh:
@@ -142,6 +143,9 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
     data = np.asarray(rows)
     if not np.all(np.isfinite(data[:, :3])):
         raise ValueError(f"{path}: non-finite wavenumber")
+    if lattice.dim == 2 and np.any(data[:, 2] != 0):
+        raise ValueError(f"{path}: nonzero k3 on a 2-D lattice")
+    k = data[:, :lattice.dim]
     # complex(re, im), not re + 1j * im: 1j * inf has a NaN real part
     ell_vals = np.vectorize(complex)(data[:, 3], data[:, 4])
     if len(rows) == lattice.n_modes:
@@ -149,7 +153,7 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
         n = lattice.n_per_dim
         # an overflow to inf lies outside the lattice, refused below
         with np.errstate(over="ignore"):
-            kap = np.rint(data[:, :lattice.dim] / lattice.k_unit)
+            kap = np.rint(k / lattice.k_unit)
         if np.any(np.abs(kap) > n // 2):
             raise ValueError(f"{path}: mode outside the lattice")
         idx = tuple(kap.T.astype(np.int64) % n)
@@ -161,7 +165,7 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
     else:
         # a huge finite wavenumber overflows its radius, refused below
         with np.errstate(over="ignore"):
-            radii = np.sqrt(np.sum(data[:, :3] ** 2, axis=1)) / lattice.k_unit
+            radii = np.sqrt(np.sum(k ** 2, axis=1)) / lattice.k_unit
         if not np.all(np.isfinite(radii)):
             raise ValueError(f"{path}: wavenumber radius overflows")
         order = np.argsort(radii)

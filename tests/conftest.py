@@ -1,21 +1,42 @@
-"""Shared helpers for the test suite: field constructors, the
-brute-force nonlinear-term oracle (direct summation, no FFT) and a call
-counter."""
+"""Shared helpers for the test suite: field constructors, numpy's full
+transforms as the reference for the lattice's pruned ones, the brute-force
+nonlinear-term oracle (direct summation, no FFT) and a call counter."""
 import numpy as np
 
 from hyperns.dynamics import random_field
-from hyperns.lattice import (SpectralVelocity, WavenumberLattice, dealias,
-                             leray_project)
+from hyperns.lattice import SpectralVelocity, leray_project
+
+
+def full_rfftn(lat, a):
+    """numpy's full ``rfftn`` of real ``a`` on the grid of ``lat`` (any
+    leading axes), in the lattice's normalization."""
+    return np.fft.rfftn(a, axes=tuple(range(-lat.dim, 0)), norm="forward")
+
+
+def full_irfftn(lat, h):
+    """numpy's full ``irfftn`` of half-layout ``h`` on the grid of ``lat``
+    (any leading axes), in the lattice's normalization."""
+    return np.fft.irfftn(h, s=lat.grid_shape, axes=tuple(range(-lat.dim, 0)),
+                         norm="forward")
+
+
+def off_band_field(lattice, seed):
+    """The field of random noise's full transform: exactly Hermitian, and
+    with content off the two-thirds band."""
+    noise = np.random.default_rng(seed).standard_normal(
+        (lattice.dim,) + lattice.grid_shape)
+    return SpectralVelocity(lattice,
+                            lattice.full_layout(full_rfftn(lattice, noise)))
 
 
 def shear_field(lattice, seed, amplitude=1.0):
-    """Shear flow u = (f(x_2, ...), 0, ...) with a random f, dealiased and
+    """Shear flow u = (f(x_2, ...), 0, ...) with a random f, on the band and
     scaled to L2 norm ``amplitude``.  It is divergence-free and (u.grad)u
     = 0, so the step's nonlinear term vanishes on it."""
     rng = np.random.default_rng(seed)
     phys = np.zeros((lattice.dim,) + lattice.grid_shape)
     phys[0] = rng.standard_normal(lattice.grid_shape[1:])
-    u = dealias(SpectralVelocity.from_physical(lattice, phys))
+    u = SpectralVelocity.from_physical(lattice, phys)
     u.coeffs *= amplitude / u.l2_norm()
     return u
 

@@ -247,6 +247,18 @@ class TestRunCommand:
                 "huge-shell": "radius overflows"}[defect] in err
         assert not out.exists()
 
+    def test_2d_table_with_nonzero_k3_is_config_error(self, tmp_path, capsys):
+        table = tmp_path / "k3.csv"
+        table.write_text("k1,k2,k3,re_ell,im_ell\n" + "".join(
+            f"{k},0,3,{-float(k) ** 2.5!r},0\n" for k in range(12)))
+        cfg = write_config(tmp_path, CONFIG.replace(
+            "symbol = power", f"symbol = table:{table}"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = assert_one_error_line(capsys, "config")
+        assert "nonzero k3" in err and str(table) in err
+        assert not out.exists()
+
     def test_missing_symbol_table_is_io_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONFIG.replace(
             "symbol = power", f"symbol = table:{tmp_path / 'absent.csv'}"))
@@ -535,6 +547,19 @@ class TestEnergyAudit:
             "budget_residual\n0,1,1,1,1,0\n0.1,nan,1,1,1,0\n")
         assert main(["energy-audit", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("rows", [
+        "0,0,0,0,0,0\n0.1,5,0,0,0,0\n",
+        "0,0,0,0,0,0\n0.1,0,0,nan,0,0\n",
+    ], ids=["energy-from-zero", "nan-rate-from-zero"])
+    def test_zero_start_energy_keeps_the_residual(self, tmp_path, capsys,
+                                                   rows):
+        # with E(0) = 0 the residual is absolute, not zero
+        (tmp_path / "diagnostics.csv").write_text(
+            "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+            "budget_residual\n" + rows)
+        assert main(["energy-audit", str(tmp_path)]) == 3
+        assert_one_error_line(capsys, "numerical")
+
     @pytest.mark.parametrize("table", [
         "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
         "budget_residual\n0,1,1,1,1,0\n0.1,abc,1,1,1,0\n",
@@ -551,8 +576,10 @@ class TestEnergyAudit:
         "budget_residual\n0,1,1,1,1,0\nnan,1,1,1,1,0\n",
         "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
         "budget_residual\nnan,1,1,1,1,0\n",
+        "t,energy,enstrophy,visc_dissipation_rate,hyper_dissipation_rate,"
+        "budget_residual\n0,-1,0,0,0,0\n0.1,-100,0,0,0,0\n",
     ], ids=["non-numeric", "ragged", "missing-column", "no-rows", "empty",
-            "repeated-t", "nan-t", "one-row-nan-t"])
+            "repeated-t", "nan-t", "one-row-nan-t", "negative-energy"])
     def test_malformed_table_is_io_error(self, tmp_path, capsys, table):
         (tmp_path / "diagnostics.csv").write_text(table)
         assert main(["energy-audit", str(tmp_path)]) == 4

@@ -80,6 +80,24 @@ class TestEnergyBudget:
             r.t = float(i)
         assert np.max(energy_budget(records)) == 0.0
 
+    def test_zero_start_energy_gives_the_absolute_residual(self):
+        records = self._linear_records(1e-2, 1e-4, 1e-3, 2)
+        for r in records:
+            r.energy, r.visc_dissipation_rate = 0.0, 2.0
+            r.hyper_dissipation_rate = 0.0
+        records[2].energy = 5.0
+        dt = records[1].t - records[0].t
+        assert energy_budget(records).tolist() == [0.0, 2.0 * dt,
+                                                   5.0 + 4.0 * dt]
+
+    @pytest.mark.parametrize("column", ["energy", "visc_dissipation_rate",
+                                        "hyper_dissipation_rate"])
+    def test_rejects_negative_energy_or_rate(self, column):
+        records = self._linear_records(1e-2, 1e-4, 1e-3, 2)
+        setattr(records[1], column, -1e-300)
+        with pytest.raises(ValueError, match="negative"):
+            energy_budget(records)
+
     def test_linear_run_quadrature_limited(self):
         # exact propagator: the only residual is trapezoid quadrature error
         res_coarse = np.max(energy_budget(

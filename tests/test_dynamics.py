@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (bandlimited_field, brute_force_nonlinear, calls_of,
-                      shear_field)
+                      off_band_field, shear_field)
 from hyperns.config import SimConfig
 from hyperns.dynamics import (CFLError, NumericalError, Stepper,
                               TrajectoryState, initial_condition,
@@ -85,9 +85,7 @@ class TestNonlinearTerm:
 
     def test_reads_only_the_band(self):
         lat = WavenumberLattice(12, 3)
-        noise = np.random.default_rng(4).standard_normal(
-            (lat.dim,) + lat.grid_shape)
-        u = SpectralVelocity.from_physical(lat, noise)
+        u = off_band_field(lat, 4)
         assert np.any(u.coeffs[:, ~lat.dealias_mask] != 0)
         assert np.array_equal(nonlinear_term(u).coeffs,
                               nonlinear_term(dealias(u)).coeffs)
@@ -418,10 +416,7 @@ class TestBandTrajectory:
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 12)])
     def test_start_off_the_band_is_refused(self, monkeypatch, dim, n):
         cfg = base_config(dim=dim, n=n, t_end=4e-2, output_every=3)
-        lat = cfg.build_lattice()
-        noise = np.random.default_rng(7).standard_normal(
-            (dim,) + lat.grid_shape)
-        u0 = leray_project(SpectralVelocity.from_physical(lat, noise))
+        u0 = leray_project(off_band_field(cfg.build_lattice(), 7))
         u0.coeffs *= 0.5 / u0.l2_norm()
         before = u0.coeffs.tobytes()
         steps = calls_of(monkeypatch, Stepper, "step")
@@ -438,8 +433,8 @@ class TestBandTrajectory:
     def test_only_sampled_steps_build_the_field(self, monkeypatch, dim, n):
         cfg = base_config(dim=dim, n=n, t_end=4e-2, output_every=3)
         u0 = initial_condition(cfg, cfg.build_lattice())
-        # every full-layout field is made by from_half or the constructor
-        built = calls_of(monkeypatch, SpectralVelocity, "from_half")
+        # every full-layout field is made by from_band or the constructor
+        built = calls_of(monkeypatch, SpectralVelocity, "from_band")
         made = calls_of(monkeypatch, SpectralVelocity, "__post_init__")
         sampled = []
         run(cfg, sinks=(lambda st, rec: sampled.append(st),), u0=u0)

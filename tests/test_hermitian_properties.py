@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_irfftn, full_rfftn
 from hyperns.dynamics import (Stepper, TrajectoryState, nonlinear_term,
                               random_field, taylor_green)
 from hyperns.lattice import (DIV_TOL, SobolevIndex, SpectralVelocity,
@@ -91,17 +92,12 @@ def noise_fields(draw):
 
 
 def full_transforms():
-    """Patch the lattice so that `dealiased=True` runs the full transforms;
-    the forward one then gives the band of the full transform."""
-    forward, inverse = WavenumberLattice.forward, WavenumberLattice.inverse
-
-    def full_forward(self, a, *, dealiased=False):
-        h = forward(self, a)
-        return self.gather_band(h) if dealiased else h
-
+    """Patch the lattice so that its transforms are numpy's full ones; the
+    forward one then gives the band of the full transform."""
     return mock.patch.multiple(
-        WavenumberLattice, forward=full_forward,
-        inverse=lambda self, a, *, dealiased=False: inverse(self, a))
+        WavenumberLattice,
+        forward=lambda self, a: self.gather_band(full_rfftn(self, a)),
+        inverse=full_irfftn)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import hyperns
-from conftest import bandlimited_field
-from hyperns.dynamics import taylor_green
+from conftest import (bandlimited_field, full_irfftn, full_rfftn,
+                      off_band_field)
+from hyperns.dynamics import random_field, taylor_green
 from hyperns.lattice import (DIV_TOL, SobolevIndex, SpectralVelocity,
                              WavenumberLattice, dealias, hermitian_defect,
                              inner_product, leray_project, negate_kappa,
@@ -59,10 +60,12 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n,dim", [(16, 2), (8, 3)])
     def test_round_trip(self, n, dim):
+        # a real field on the band comes back from the pair
         lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(0)
-        phys = rng.standard_normal(lat.grid_shape)
-        back = lat.inverse(lat.forward(phys))
+        h = full_rfftn(lat, rng.standard_normal(lat.grid_shape))
+        phys = full_irfftn(lat, h * lat.half(lat.dealias_mask))
+        back = lat.inverse(lat.scatter_band(lat.forward(phys)))
         assert np.max(np.abs(back - phys)) <= 1e-12 * np.max(np.abs(phys))
 
     def test_inverse_rejects_non_hermitian(self):
@@ -71,6 +74,23 @@ class TestTransforms:
         c[0, 1, 0] = 1.0  # no conjugate partner
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             SpectralVelocity(lat, c).to_physical()
+
+    @pytest.mark.parametrize("n,dim", [(16, 2), (8, 3)])
+    def test_to_physical_refuses_content_off_the_band(self, n, dim):
+        lat = WavenumberLattice(n, dim)
+        u = off_band_field(lat, n)
+        assert u.hermitian_defect() == 0.0
+        with pytest.raises(ValueError, match="off the two-thirds band"):
+            u.to_physical()
+        # the Hermitian check comes first, on the band or off it
+        for v in (u, dealias(u)):
+            v.coeffs[(0,) + (1,) * dim] += 1.0
+            with pytest.raises(ValueError, match="Hermitian"):
+                v.to_physical()
+        # a field on the band: the full inverse transform of its half
+        w = random_field(lat, n, 2.0, 3.0, 1.0)
+        assert (w.to_physical().tobytes()
+                == full_irfftn(lat, lat.half(w.coeffs)).tobytes())
 
     def test_shape_mismatch(self):
         lat = WavenumberLattice(8, 2)
@@ -91,9 +111,9 @@ class TestTransforms:
         # bit for bit
         lat = WavenumberLattice(n, dim)
         x = np.random.default_rng(n).standard_normal(lead + lat.grid_shape)
-        band = lat.forward(x, dealiased=True)
+        band = lat.forward(x)
         assert band.shape == lead + lat.band_shape
-        assert band.tobytes() == lat.gather_band(lat.forward(x)).tobytes()
+        assert band.tobytes() == lat.gather_band(full_rfftn(lat, x)).tobytes()
 
     @pytest.mark.parametrize("lead", [(), (3,), (6,)])
     @pytest.mark.parametrize("n", [10, 12, 16])
@@ -101,12 +121,21 @@ class TestTransforms:
     def test_band_inverse_reads_only_the_band(self, dim, n, lead):
         lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(n)
-        h = lat.forward(rng.standard_normal(lead + lat.grid_shape))
+        h = full_rfftn(lat, rng.standard_normal(lead + lat.grid_shape))
         limited = h * lat.half(lat.dealias_mask)
-        assert (lat.inverse(limited, dealiased=True).tobytes()
-                == lat.inverse(limited).tobytes())
-        assert np.array_equal(lat.inverse(h, dealiased=True),
-                              lat.inverse(limited))
+        assert (lat.inverse(limited).tobytes()
+                == full_irfftn(lat, limited).tobytes())
+        assert np.array_equal(lat.inverse(h), full_irfftn(lat, limited))
+
+    @pytest.mark.parametrize("n,dim", [(16, 2), (12, 3)])
+    def test_from_physical_enters_through_the_band(self, n, dim):
+        lat = WavenumberLattice(n, dim)
+        noise = np.random.default_rng(n).standard_normal(
+            (dim,) + lat.grid_shape)
+        u = SpectralVelocity.from_physical(lat, noise, 0.25)
+        expect = SpectralVelocity.from_band(
+            lat, lat.gather_band(full_rfftn(lat, noise)), 0.25)
+        assert u.coeffs.tobytes() == expect.coeffs.tobytes() and u.t == 0.25
 
     def test_only_the_lattice_calls_numpy_fft(self):
         src = Path(hyperns.__file__).parent
@@ -319,7 +348,8 @@ class TestBandLayout:
     def test_scatter_of_gather_is_the_masked_half(self, dim, n, lead):
         lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(n + dim)
-        h = lat.forward(rng.standard_normal((dim,) * lead + lat.grid_shape))
+        h = full_rfftn(lat, rng.standard_normal(
+            (dim,) * lead + lat.grid_shape))
         b = lat.gather_band(h)
         assert b.shape == (dim,) * lead + lat.band_shape
         assert b.tobytes() == band_modes(lat, h).tobytes()
@@ -335,7 +365,7 @@ class TestBandLayout:
         lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(n * dim)
         h = lat.scatter_band(lat.forward(
-            rng.standard_normal((dim,) * lead + lat.grid_shape), dealiased=True))
+            rng.standard_normal((dim,) * lead + lat.grid_shape)))
         assert lat.scatter_band(lat.gather_band(h)).tobytes() == h.tobytes()
         # a full-layout array holds its band at the same indices; whatever
         # its other half holds is not read
@@ -351,7 +381,7 @@ class TestBandLayout:
         lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(n - dim)
         h = lat.scatter_band(lat.forward(
-            rng.standard_normal((dim,) + lat.grid_shape), dealiased=True))
+            rng.standard_normal((dim,) + lat.grid_shape)))
         outside = ~lat.half(lat.dealias_mask)
         h[:, outside] = -0.0  # a zero of either sign is no content
         for a in (h, lat.full_layout(h)):
@@ -428,16 +458,19 @@ class TestLayouts:
         assert np.array_equal(full.view(float), u.coeffs.view(float))
 
     @pytest.mark.parametrize("n,dim", CASES)
-    def test_from_half_is_the_constructor_without_its_copy(self, n, dim):
+    def test_from_band_is_the_constructor_without_its_copy(self, n, dim):
         lat = WavenumberLattice(n, dim)
         rng = np.random.default_rng(5)
-        shape = (dim,) + lat.half(lat.k_sq).shape
-        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u = SpectralVelocity.from_half(lat, h, 0.5)
-        expect = SpectralVelocity(lat, lat.full_layout(h), 0.5)
+        shape = (dim,) + lat.band_shape
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = SpectralVelocity.from_band(lat, b, 0.5)
+        expect = SpectralVelocity(lat, lat.full_layout(lat.scatter_band(b)),
+                                  0.5)
         assert u.coeffs.tobytes() == expect.coeffs.tobytes() and u.t == 0.5
-        with pytest.raises(ValueError, match="half-layout shape"):
-            SpectralVelocity.from_half(lat, h[1:], 0.5)
+        # too few components, or the half layout of the right ones
+        for bad in (b[1:], b[:1], lat.scatter_band(b)):
+            with pytest.raises(ValueError, match="band-layout shape"):
+                SpectralVelocity.from_band(lat, bad, 0.5)
 
     def test_half_is_a_view(self):
         lat = WavenumberLattice(8, 3)

@@ -101,13 +101,13 @@ class TestFirstOrderSymbol:
 
 
 class TestTabulated:
-    def _write_per_mode(self, lat, path, func):
+    def _write_per_mode(self, lat, path, func, k3=0.0):
         rows = ["k1,k2,k3,re_ell,im_ell"]
         it = np.ndindex(lat.grid_shape)
         for idx in it:
             k = [float(lat.k[d][idx]) for d in range(lat.dim)]
             while len(k) < 3:
-                k.append(0.0)
+                k.append(k3)
             val = func(np.sqrt(sum(v * v for v in k[:lat.dim])))
             rows.append(",".join(f"{v:.17g}" for v in (*k, -val, 0.0)))
         path.write_text("\n".join(rows) + "\n")
@@ -130,6 +130,20 @@ class TestTabulated:
         sym = tabulated_symbol(lat, path)
         # mode (2,0) sits exactly on shell radius 2
         assert sym.m[2, 0] == pytest.approx(2.0 ** 2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", ["per-mode", "per-shell"])
+    def test_nonzero_k3_on_2d_refused(self, tmp_path, rows):
+        # a 2-D table names each mode or shell by k1 and k2 alone
+        lat = WavenumberLattice(8, 2)
+        path = tmp_path / f"{rows}.csv"
+        if rows == "per-mode":
+            self._write_per_mode(lat, path, lambda r: r ** 2.5, k3=7.0)
+        else:
+            path.write_text("k1,k2,k3,re_ell,im_ell\n" + "".join(
+                f"{s},0,3,{-float(s) ** 2.5!r},0\n" for s in range(6)))
+        with pytest.raises(ValueError, match="nonzero k3") as err:
+            tabulated_symbol(lat, path)
+        assert str(path) in str(err.value)
 
     def test_bad_header(self, tmp_path):
         lat = WavenumberLattice(8, 2)
