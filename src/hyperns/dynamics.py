@@ -227,9 +227,11 @@ class Stepper:
 
 
 def taylor_green(lattice: WavenumberLattice, t: float = 0.0) -> SpectralVelocity:
-    """Classical Taylor-Green vortex on the box (2-D or 3-D)."""
-    ku = lattice.k_unit
-    x = lattice.x
+    """Classical Taylor-Green vortex on the box (2-D or 3-D), projected on
+    the band: ``leray_project(from_physical(...))`` bit for bit."""
+    ku, n = lattice.k_unit, lattice.n_per_dim
+    ax = np.arange(n) * (lattice.box_length / n)
+    x = np.meshgrid(*([ax] * lattice.dim), indexing="ij", sparse=True)
     phys = np.zeros((lattice.dim,) + lattice.grid_shape)
     if lattice.dim == 2:
         phys[0] = np.sin(ku * x[0]) * np.cos(ku * x[1])
@@ -237,30 +239,31 @@ def taylor_green(lattice: WavenumberLattice, t: float = 0.0) -> SpectralVelocity
     else:
         phys[0] = np.sin(ku * x[0]) * np.cos(ku * x[1]) * np.cos(ku * x[2])
         phys[1] = -np.cos(ku * x[0]) * np.sin(ku * x[1]) * np.cos(ku * x[2])
-    return SpectralVelocity.from_physical(lattice, phys, t)
+    b = lattice.project_band(lattice.forward(phys))
+    return SpectralVelocity.from_band(lattice, b, t)
 
 
 def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
                  k_c: float, amplitude: float) -> SpectralVelocity:
     """Divergence-free Gaussian field with |u_hat| ~ |k|^sigma exp(-|k|^2/k_c^2).
 
-    On the two-thirds band, zero-mean, seeded; the result is scaled to the
-    requested L^2 norm (``amplitude``).
+    Seeded and zero-mean; the band of the noise's transform, weighed by the
+    profile, is projected on the band and scaled to the requested L^2 norm
+    (``amplitude``): the full-layout construction's floats.
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((lattice.dim,) + lattice.grid_shape)
-    coeffs = SpectralVelocity.from_physical(lattice, noise).coeffs
-    kmag = lattice.k_mag
-    profile = np.zeros(lattice.grid_shape)
-    nz = kmag > 0
+    b = lattice.gather_band(SpectralVelocity.from_physical(lattice,
+                                                           noise).coeffs)
+    r = lattice.gather_band(lattice.k_mag)  # |k| on the band
     # a k_c so small that k_c**2 underflows weighs every mode exp(-inf) = 0;
     # a non-finite weight is refused below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        profile[nz] = kmag[nz] ** sigma * np.exp(-kmag[nz] ** 2 / k_c ** 2)
+        profile = np.where(r > 0, r ** sigma * np.exp(-r ** 2 / k_c ** 2), 0.0)
     if not np.all(np.isfinite(profile)):
         raise NumericalError("degenerate random field: spectral profile "
                              f"overflows (sigma={sigma:g}, k_c={k_c:g})")
-    u = leray_project(SpectralVelocity(lattice, coeffs * profile))
+    u = SpectralVelocity.from_band(lattice, lattice.project_band(b * profile))
     norm = u.l2_norm()
     if not (norm > 0 and math.isfinite(amplitude / norm)):
         raise NumericalError(f"degenerate random field: L2 norm {norm:.3e} "
@@ -271,8 +274,9 @@ def random_field(lattice: WavenumberLattice, seed: int, sigma: float,
 
 def initial_condition(cfg: SimConfig,
                       lattice: WavenumberLattice) -> SpectralVelocity:
+    """A generated start projected on the band, or a snapshot dealiased."""
     kind, _, arg = cfg.ic.partition(":")
-    if kind == "random":  # projected, and on the band already
+    if kind == "random":
         return random_field(lattice, cfg.seed, cfg.sigma, cfg.k_c,
                             cfg.amplitude)
     if kind == "snapshot":
@@ -280,7 +284,7 @@ def initial_condition(cfg: SimConfig,
         u, _ = read_snapshot(arg, lattice)
         return dealias(u)  # a snapshot may hold modes off the band
     # SimConfig has refused an unknown ic and a preset of another dimension
-    return leray_project(taylor_green(lattice))
+    return taylor_green(lattice)
 
 
 def run(cfg: SimConfig, sinks=(), *, symbol: MultiplierSymbol | None = None,

@@ -112,13 +112,13 @@ class WavenumberLattice:
     def n_modes(self) -> int:
         return self.n_per_dim ** self.dim
 
-    @cached_property
+    @property
     def kappa(self) -> np.ndarray:
-        """Integer wavevectors, shape (dim, n, ..., n)."""
+        """Integer wavevectors, shape (dim, n, ..., n), built on each call;
+        the lattice caches ``k``."""
         n = self.n_per_dim
         per_axis = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        grids = np.meshgrid(*([per_axis] * self.dim), indexing="ij")
-        return np.stack(grids)
+        return np.stack(np.meshgrid(*([per_axis] * self.dim), indexing="ij"))
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -154,8 +154,9 @@ class WavenumberLattice:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        lim = self.dealias_limit
-        return np.all(np.abs(self.kappa) <= lim, axis=0)
+        """|kappa_i| <= lim on every axis, read off ``k``: the rounded
+        products k_unit * kappa_i keep the order of the integers."""
+        return np.all(np.abs(self.k) <= self.k_dealias, axis=0)
 
     @cached_property
     def pinned_modes(self) -> dict:
@@ -294,14 +295,6 @@ class WavenumberLattice:
         self._mirror_half(h, out)
         return out
 
-    @cached_property
-    def x(self) -> np.ndarray:
-        """Physical grid coordinates, shape (dim, n, ..., n)."""
-        n = self.n_per_dim
-        ax = np.arange(n) * (self.box_length / n)
-        grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        return np.stack(grids)
-
     # -- transforms -------------------------------------------------------
 
     def _check_grid(self, a: np.ndarray, shape: tuple) -> None:
@@ -399,9 +392,9 @@ class SpectralVelocity:
 
     def to_physical(self) -> np.ndarray:
         """The real field; ValueError on a Hermitian defect above
-        HERMITIAN_TOL, and (from ``band_of``) on content off the band."""
+        HERMITIAN_TOL or NaN, and on content off the band (``band_of``)."""
         defect = self.hermitian_defect()
-        if defect > HERMITIAN_TOL:
+        if not defect <= HERMITIAN_TOL:
             raise ValueError(f"non-Hermitian spectral input: defect "
                              f"{defect:.3e} relative")
         lat = self.lattice

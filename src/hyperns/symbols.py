@@ -122,10 +122,11 @@ def first_order_symbol(lattice: WavenumberLattice, b_hat: np.ndarray,
 def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
     """Read a CSV table (header k1,k2,k3,re_ell,im_ell) onto the lattice.
 
-    One row per lattice mode (matched by integer kappa, every mode exactly
-    once) or one row per shell radius (modes pick the nearest shell).
-    Wavenumbers, and the radius of a per-shell row, must be finite; on a
-    2-D lattice every k3 must be zero.
+    A table whose rows all have k2 = k3 = 0 is per-shell: one row per
+    shell, with k1 the radius, and each mode picks the nearest shell.  Any
+    other table is per-mode: one row per lattice mode, matched by integer
+    kappa, every mode exactly once.  Wavenumbers, and the radius of a
+    per-shell row, must be finite; on a 2-D lattice every k3 must be zero.
     Returns the raw complex values per mode with no sign validation.
     """
     with open(path, newline="") as fh:
@@ -148,7 +149,7 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
     k = data[:, :lattice.dim]
     # complex(re, im), not re + 1j * im: 1j * inf has a NaN real part
     ell_vals = np.vectorize(complex)(data[:, 3], data[:, 4])
-    if len(rows) == lattice.n_modes:
+    if np.any(data[:, 1:3] != 0):
         ell = np.zeros(lattice.grid_shape, dtype=np.complex128)
         n = lattice.n_per_dim
         # an overflow to inf lies outside the lattice, refused below
@@ -158,9 +159,10 @@ def load_symbol_table(lattice: WavenumberLattice, path) -> np.ndarray:
             raise ValueError(f"{path}: mode outside the lattice")
         idx = tuple(kap.T.astype(np.int64) % n)
         modes = np.unique(np.ravel_multi_index(idx, lattice.grid_shape))
-        if modes.size != lattice.n_modes:
+        if len(rows) != lattice.n_modes or modes.size != lattice.n_modes:
             raise ValueError(
-                f"{path}: rows do not cover every lattice mode exactly once")
+                f"{path}: rows do not cover every lattice mode exactly once "
+                "(a table with a nonzero k2 or k3 is per-mode)")
         ell[idx] = ell_vals
     else:
         # a huge finite wavenumber overflows its radius, refused below

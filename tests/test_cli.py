@@ -220,16 +220,22 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("defect", ["nan-wavenumber", "duplicate-mode",
-                                        "huge-mode", "huge-shell"])
+                                        "huge-mode", "huge-shell",
+                                        "off-axis-shell"])
     def test_bad_table_wavenumbers_are_config_error(self, tmp_path, capsys,
                                                     defect):
         # on a box of 4 pi, a k1 of 1e308 overflows kappa = k1 / k_unit;
-        # a per-shell k1 of 1e200 overflows the squared radius
+        # a per-shell k1 of 1e200 overflows the squared radius; a shell row
+        # with a nonzero k2 makes the table per-mode, short of the modes
         box = 4 * math.pi if defect == "huge-mode" else 2 * math.pi
         if defect == "huge-shell":
             table = tmp_path / "huge-shell.csv"
             table.write_text("k1,k2,k3,re_ell,im_ell\n0,0,0,0,0\n"
                              "1e200,0,0,-1,0\n")
+        elif defect == "off-axis-shell":
+            table = tmp_path / "off-axis-shell.csv"
+            table.write_text("k1,k2,k3,re_ell,im_ell\n0,0,0,0,0\n"
+                             "1,0,0,-1,0\n2,1,0,-4,0\n")
         else:
             table = per_mode_table(tmp_path, WavenumberLattice(16, 2, box),
                                    defect)
@@ -244,7 +250,8 @@ class TestRunCommand:
         assert {"nan-wavenumber": "non-finite wavenumber",
                 "duplicate-mode": "every lattice mode exactly once",
                 "huge-mode": "mode outside the lattice",
-                "huge-shell": "radius overflows"}[defect] in err
+                "huge-shell": "radius overflows",
+                "off-axis-shell": "k2 or k3 is per-mode"}[defect] in err
         assert not out.exists()
 
     def test_2d_table_with_nonzero_k3_is_config_error(self, tmp_path, capsys):
@@ -426,15 +433,15 @@ class TestResumedRun:
         write_snapshot(u, snap)
         cfg = self.resume_config(tmp_path, snap)
         built = []
-        plain = WavenumberLattice.kappa
+        plain = WavenumberLattice.k
 
         def counted(lat):
             built.append(lat)
             return plain.func(lat)
 
-        kappa = functools.cached_property(counted)
-        kappa.__set_name__(WavenumberLattice, "kappa")
-        monkeypatch.setattr(WavenumberLattice, "kappa", kappa)
+        k = functools.cached_property(counted)
+        k.__set_name__(WavenumberLattice, "k")
+        monkeypatch.setattr(WavenumberLattice, "k", k)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(built) == 1
 

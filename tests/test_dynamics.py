@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hyperns.dynamics as dynamics
 from conftest import (bandlimited_field, brute_force_nonlinear, calls_of,
                       off_band_field, shear_field)
 from hyperns.config import SimConfig
@@ -14,6 +15,7 @@ from hyperns.dynamics import (CFLError, NumericalError, Stepper,
                               taylor_green)
 from hyperns.lattice import (SpectralVelocity, WavenumberLattice, dealias,
                              inner_product, leray_project, negate_kappa)
+from hyperns.snapshot import write_snapshot
 from hyperns.symbols import power_symbol
 
 
@@ -361,6 +363,78 @@ class TestRun:
     def test_ic_validation(self):
         with pytest.raises(ValueError, match="dim"):
             base_config(ic="taylor-green-3d")
+
+
+def full_layout_random_field(lat, seed, sigma, k_c, amplitude):
+    """``random_field`` built in the full layout: the profile weighs the
+    whole transform of the noise, which ``leray_project`` projects."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((lat.dim,) + lat.grid_shape)
+    coeffs = SpectralVelocity.from_physical(lat, noise).coeffs
+    profile = np.zeros(lat.grid_shape)
+    nz = lat.k_mag > 0
+    profile[nz] = lat.k_mag[nz] ** sigma * np.exp(-lat.k_mag[nz] ** 2
+                                                   / k_c ** 2)
+    u = leray_project(SpectralVelocity(lat, coeffs * profile))
+    u.coeffs *= amplitude / u.l2_norm()
+    return u
+
+
+def full_layout_taylor_green(lat, t):
+    """``taylor_green`` built in the full layout, on a stacked coordinate
+    grid, and projected by ``leray_project``."""
+    n = lat.n_per_dim
+    ax = np.arange(n) * (lat.box_length / n)
+    x = np.stack(np.meshgrid(*([ax] * lat.dim), indexing="ij"))
+    s = [np.sin(lat.k_unit * x[d]) for d in range(lat.dim)]
+    c = [np.cos(lat.k_unit * x[d]) for d in range(lat.dim)]
+    phys = np.zeros((lat.dim,) + lat.grid_shape)
+    if lat.dim == 2:
+        phys[0] = s[0] * c[1]
+        phys[1] = -c[0] * s[1]
+    else:
+        phys[0] = s[0] * c[1] * c[2]
+        phys[1] = -c[0] * s[1] * c[2]
+    return leray_project(SpectralVelocity.from_physical(lat, phys, t))
+
+
+class TestGeneratedStart:
+    """The random and Taylor-Green starts are projected on the band, and a
+    run projects a full-layout field once, at its final step."""
+
+    @pytest.mark.parametrize("box", [2 * np.pi, 1.0, 123.456])
+    @pytest.mark.parametrize("dim,n", [(2, 8), (2, 30), (2, 64), (3, 12),
+                                       (3, 18)])
+    def test_starts_are_the_full_layout_construction(self, monkeypatch, dim,
+                                                     n, box):
+        lat = WavenumberLattice(n, dim, box)
+        rand = full_layout_random_field(lat, 3, 2.0, 3.0, 0.7)
+        tg = full_layout_taylor_green(lat, 0.25)
+        projected = calls_of(monkeypatch, dynamics, "leray_project")
+        u = random_field(lat, 3, 2.0, 3.0, 0.7)
+        v = taylor_green(lat, 0.25)
+        assert projected == []
+        assert np.array_equal(u.coeffs, rand.coeffs) and u.t == 0.0
+        assert np.array_equal(v.coeffs, tg.coeffs) and v.t == 0.25
+
+    @pytest.mark.parametrize("ic", ["random", "taylor-green-2d",
+                                    "taylor-green-3d", "snapshot"])
+    def test_run_projects_the_full_layout_once(self, monkeypatch, tmp_path,
+                                               ic):
+        dim = 3 if ic == "taylor-green-3d" else 2
+        n = 12 if dim == 3 else 16
+        if ic == "snapshot":
+            snap = tmp_path / "start.hypf"
+            write_snapshot(random_field(WavenumberLattice(n, dim), 4, 2.0,
+                                        3.0, 0.5), snap)
+            ic = f"snapshot:{snap}"
+        cfg = base_config(dim=dim, n=n, ic=ic, t_end=2e-2, output_every=2)
+        projected = calls_of(monkeypatch, dynamics, "leray_project")
+        final, _ = run(cfg)
+        # the argument is the final step's field, at the final time
+        assert [args[0].t for args in projected] == [final.t]
+        assert final.step_index == 4
+        assert "kappa" not in vars(final.lattice)
 
 
 def sampled_loop(cfg, u0):

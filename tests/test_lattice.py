@@ -33,6 +33,29 @@ class TestBuildLattice:
         # mode kappa=(1,0) has |k| = 2
         assert lat.k_mag[1, 0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("dim,ns", [
+        (2, (4, 6, 10, 12, 30, 64, 66, 130)), (3, (4, 8, 12, 18, 32, 66))])
+    def test_cached_arrays_match_the_integer_grid(self, dim, ns):
+        # the arrays are built from an integer kappa grid here, and the
+        # lattice caches none of kappa's own
+        for n in ns:
+            idx = np.arange(n)
+            per_axis = np.where(idx < n // 2, idx, idx - n)
+            kappa = np.stack(np.meshgrid(*([per_axis] * dim), indexing="ij"))
+            mask = np.all(np.abs(kappa) <= (n - 1) // 3, axis=0)
+            for box in (2 * np.pi, 1.0, 4 * np.pi, 0.3, 7.7e-3, 1e5, 123.456):
+                lat = WavenumberLattice(n, dim, box)
+                k = lat.k_unit * kappa
+                k_sq = np.sum(k ** 2, axis=0)
+                shell = np.ceil(np.sqrt(k_sq) / lat.k_unit - 0.5)
+                assert lat.dealias_mask.tobytes() == mask.tobytes()
+                assert lat.k.tobytes() == k.tobytes()
+                assert lat.k_sq.tobytes() == k_sq.tobytes()
+                assert (lat.shell_index.tobytes()
+                        == shell.astype(np.int64).tobytes())
+                assert lat.kappa.tobytes() == kappa.tobytes()
+                assert "kappa" not in vars(lat) and not hasattr(lat, "x")
+
     @pytest.mark.parametrize("n,dim,box", [
         (5, 2, 2 * np.pi), (2, 2, 2 * np.pi), (8, 4, 2 * np.pi),
         (8, 2, 0.0), (8, 2, -1.0)])
@@ -44,7 +67,8 @@ class TestBuildLattice:
 class TestTransforms:
     def test_cosine_coefficients(self):
         lat = WavenumberLattice(16, 2)
-        phys = np.cos(lat.x[0])
+        x = np.arange(16) * (lat.box_length / 16)
+        phys = np.cos(np.meshgrid(x, x, indexing="ij")[0])
         c = lat.forward(phys)
         assert c[1, 0] == pytest.approx(0.5, abs=1e-14)
         assert c[-1, 0] == pytest.approx(0.5, abs=1e-14)
@@ -87,6 +111,12 @@ class TestTransforms:
             v.coeffs[(0,) + (1,) * dim] += 1.0
             with pytest.raises(ValueError, match="Hermitian"):
                 v.to_physical()
+        # a NaN coefficient makes the defect NaN, which is refused too
+        v = random_field(lat, 3, 2.0, 3.0, 1.0)
+        v.coeffs[(0,) + (1,) * dim] = np.nan
+        assert np.isnan(v.hermitian_defect())
+        with pytest.raises(ValueError, match="Hermitian"):
+            v.to_physical()
         # a field on the band: the full inverse transform of its half
         w = random_field(lat, n, 2.0, 3.0, 1.0)
         assert (w.to_physical().tobytes()

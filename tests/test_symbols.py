@@ -131,6 +131,19 @@ class TestTabulated:
         # mode (2,0) sits exactly on shell radius 2
         assert sym.m[2, 0] == pytest.approx(2.0 ** 2.5, rel=1e-12)
 
+    def test_per_shell_by_its_rows_not_their_count(self, tmp_path):
+        # on 2-D n=4, shells 0-15 are n_modes = 16 rows: still per-shell,
+        # since every row has k2 = k3 = 0
+        lat = WavenumberLattice(4, 2)
+        m = []
+        for top in (15, 16):
+            path = tmp_path / f"shells{top}.csv"
+            path.write_text("k1,k2,k3,re_ell,im_ell\n" + "".join(
+                f"{s},0,0,{-float(s) ** 2.5!r},0\n" for s in range(top)))
+            m.append(tabulated_symbol(lat, path).m)
+        assert m[0].tobytes() == m[1].tobytes()
+        assert m[0][1, 1] == pytest.approx(1.0)
+
     @pytest.mark.parametrize("rows", ["per-mode", "per-shell"])
     def test_nonzero_k3_on_2d_refused(self, tmp_path, rows):
         # a 2-D table names each mode or shell by k1 and k2 alone
